@@ -1,0 +1,15 @@
+"""Put the benchmark's modules and the simulator sources on the path.
+
+Run with ``python3 -m pytest perfbench/tests`` from the repository root.
+"""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+ROOT = os.path.dirname(BENCH)
+
+for path in (BENCH, os.path.join(ROOT, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
