@@ -45,9 +45,11 @@ def pytest_sessionfinish(session, exitstatus):
     from repro.experiments import runner, store
 
     info = runner.cache_info()
+    simulated = info["simulated"] + info["worker_simulated"]
     line = (
-        f"repro result store: {info['simulated']} simulated, "
-        f"{info['runs']} runs in cache"
+        f"repro result store: {simulated} simulated "
+        f"({info['simulated']} in-process, {info['worker_simulated']} in "
+        f"pool workers), {info['runs']} runs in cache"
     )
     if store.store_enabled():
         stats = store.get_store().stats

@@ -2,9 +2,9 @@
 
 Every durable artifact in the fleet pipeline — store result files,
 metric snapshots, flight-recorder post-mortems, converted traces — is
-read back by *other* processes (workers, the coordinator, CI), so a
-torn write is not a local bug, it poisons the whole fleet.  The repo's
-sanctioned idiom is::
+read back by *other* processes (pool workers, later sessions, CI), so
+a torn write is not a local bug, it poisons every later reader.  The
+repo's sanctioned idiom is::
 
     fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=...)
     with os.fdopen(fd, "w", encoding="utf-8") as fh:

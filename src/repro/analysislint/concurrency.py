@@ -1,10 +1,10 @@
 """CONC rules: thread lifecycle, resource release, lock discipline.
 
-The fleet layer (``repro.fabric``, ``repro.obs``) is the only part of
-the tree that spawns threads, binds sockets and holds locks, and its
-bugs are the classic ones: a heartbeat thread that outlives its agent,
-a server socket left bound after ``shutdown()`` raised, a blocking call
-made while the coordinator lock is held.  These rules encode the repo's
+The fleet layer (``repro.obs``) is the only part of the tree that
+spawns threads, binds sockets and holds locks, and its bugs are the
+classic ones: a serving thread that outlives its server, a server
+socket left bound after ``shutdown()`` raised, a blocking call made
+while a collector lock is held.  These rules encode the repo's
 concurrency contract on top of the :mod:`~repro.analysislint.flow` CFG:
 
 * **CONC001** — a ``threading.Thread`` created in a fleet package must

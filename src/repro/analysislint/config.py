@@ -1,7 +1,7 @@
 """Lint configuration: the ``[tool.repro.lint]`` block in pyproject.toml.
 
 Rule scoping used to be hardcoded module constants (``SIM_PACKAGES``,
-``WALLCLOCK_ALLOWLIST``).  With the CONC/ATO/PROTO/MET families each
+``WALLCLOCK_ALLOWLIST``).  With the CONC/ATO/MET families each
 wanting their own package scope, the knobs move to pyproject.toml:
 
 * ``[tool.repro.lint]`` — scalar options (``metric_label_cap``)
@@ -57,10 +57,9 @@ class LintConfig:
         "system",
     )
     hot_packages: Tuple[str, ...] = ("controller", "dram", "prefetch")
-    fleet_packages: Tuple[str, ...] = ("fabric", "obs")
+    fleet_packages: Tuple[str, ...] = ("obs",)
     atomic_packages: Tuple[str, ...] = (
         "experiments",
-        "fabric",
         "obs",
         "scenarios",
     )
@@ -69,7 +68,6 @@ class LintConfig:
         "repro/telemetry/",
         "repro/perf.py",
         "repro/obs/",
-        "repro/fabric/",
     )
     # rule id -> "error" | "warn" | "off"; unlisted rules are errors
     severity: Mapping[str, str] = field(default_factory=dict)

@@ -92,10 +92,6 @@ def all_rules(config: Optional[LintConfig] = None) -> Sequence[Rule]:
         RegistryRule,
         UnwrittenReadRule,
     )
-    from repro.analysislint.wireproto import (
-        WireHandlerParityRule,
-        WireVersionRule,
-    )
 
     rules = (
         WallClockRule(),
@@ -115,8 +111,6 @@ def all_rules(config: Optional[LintConfig] = None) -> Sequence[Rule]:
         ResourceReleaseRule(),
         LockBlockingRule(),
         AtomicWriteRule(),
-        WireHandlerParityRule(),
-        WireVersionRule(),
         MetricRegistryRule(),
         MetricNameRule(),
         UnknownMetricReadRule(),

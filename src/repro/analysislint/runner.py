@@ -31,7 +31,6 @@ from repro.analysislint.obsmetrics import write_metric_registry
 from repro.analysislint.registry import write_registry
 from repro.analysislint.report import StaleWaiver, render_json, render_text
 from repro.analysislint.rules import Rule, all_rules
-from repro.analysislint.wireproto import write_wire_schema
 
 
 def find_repo_root(start: Optional[str] = None) -> str:
@@ -134,10 +133,9 @@ def run_lint(
 
 
 def regenerate_registry(root: Optional[str] = None) -> List[str]:
-    """Rewrite all three generated registries from a fresh scan.
+    """Rewrite both generated registries from a fresh scan.
 
-    ``repro/common/stat_keys.py`` (stat-key registry),
-    ``repro/fabric/wire_schema.py`` (wire-protocol schema) and
+    ``repro/common/stat_keys.py`` (stat-key registry) and
     ``repro/obs/metric_names.py`` (metric-name registry); returns the
     written paths.
     """
@@ -145,7 +143,6 @@ def regenerate_registry(root: Optional[str] = None) -> List[str]:
     tree = load_tree(root)
     return [
         write_registry(tree, root),
-        write_wire_schema(tree, root),
         write_metric_registry(tree, root),
     ]
 
@@ -159,7 +156,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         description=(
             "simulator-invariant static analysis (determinism, dual-path "
             "parity, cycle accounting, concurrency/atomicity contracts, "
-            "wire-protocol and registry parity, hot-path hygiene) — see "
+            "registry parity, hot-path hygiene) — see "
             "docs/linting.md"
         ),
     )
@@ -195,8 +192,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--write-registry",
         action="store_true",
         help=(
-            "regenerate the stat-key, wire-schema, and metric-name "
-            "registries and exit"
+            "regenerate the stat-key and metric-name registries and exit"
         ),
     )
     args = parser.parse_args(argv)

@@ -25,12 +25,6 @@ Commands:
   metrics snapshots of past sweeps over HTTP; ``obs trace export``
   converts a sweep's span snapshot to Chrome trace-event JSON for
   Perfetto (docs/observability.md)
-* ``fabric``    — distributed sweeps (docs/fabric.md): ``fabric
-  serve`` runs the coordinator daemon, ``fabric work`` a worker agent,
-  ``fabric submit`` sends a grid over HTTP (``--watch`` polls it to
-  completion and prints the sweep table), ``fabric status`` inspects
-  the fleet (with a critical-path summary of the stitched trace),
-  ``fabric watch`` streams live progress over SSE
 * ``lint``      — simulator-invariant static analysis (determinism,
   dual-path parity, cycle accounting, stat-key registry, hot-path
   hygiene; see docs/linting.md)
@@ -280,84 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          metavar="PATH",
                          help="trace-event output file (default trace.json)")
 
-    fabric = sub.add_parser(
-        "fabric", help="distributed sweep fabric (docs/fabric.md)"
-    )
-    fabric_sub = fabric.add_subparsers(dest="fabric_command", required=True)
-
-    fserve = fabric_sub.add_parser(
-        "serve", help="run the coordinator daemon"
-    )
-    fserve.add_argument("--host", default="127.0.0.1",
-                        help="interface to bind (default 127.0.0.1)")
-    fserve.add_argument("--port", type=int, default=8765,
-                        help="TCP port to bind (default 8765, 0 = OS pick)")
-    fserve.add_argument("--lease-seconds", type=float, default=60.0,
-                        help="worker lease duration (default 60)")
-    fserve.add_argument("--max-attempts", type=int, default=3,
-                        help="lease grants per job before it fails "
-                             "permanently (default 3)")
-    fserve.add_argument("--verbose", action="store_true",
-                        help="log scheduling events to stderr")
-
-    fwork = fabric_sub.add_parser("work", help="run one worker agent")
-    fwork.add_argument("--coordinator", required=True, metavar="URL",
-                       help="coordinator base URL, e.g. http://host:8765")
-    fwork.add_argument("--id", dest="worker_id", default=None,
-                       help="worker id (default <hostname>-<pid>)")
-    fwork.add_argument("--capacity", type=int, default=2,
-                       help="jobs leased per batch (default 2)")
-    fwork.add_argument("--poll", type=float, default=1.0, metavar="SECONDS",
-                       help="idle poll interval (default 1.0)")
-    fwork.add_argument("--drain-idle", type=float, default=None,
-                       metavar="SECONDS",
-                       help="exit after this long with an empty queue "
-                            "(default: run until SIGTERM)")
-    fwork.add_argument("--verbose", action="store_true",
-                       help="log worker events to stderr")
-
-    fsubmit = fabric_sub.add_parser(
-        "submit", help="submit a grid to a coordinator over HTTP"
-    )
-    fsubmit.add_argument("--coordinator", required=True, metavar="URL")
-    fsubmit.add_argument("-s", "--suite", choices=sorted(SUITES),
-                         help="submit a whole suite")
-    fsubmit.add_argument("-b", "--benchmarks", nargs="+", metavar="BENCH",
-                         help="submit an explicit benchmark list")
-    fsubmit.add_argument("-c", "--configs", nargs="+", metavar="CONFIG",
-                         default=list(CONFIG_NAMES),
-                         help="configurations (default: NP PS MS PMS)")
-    fsubmit.add_argument("--priority", type=int, default=0,
-                         help="queue priority (higher runs first)")
-    fsubmit.add_argument("--fidelity", choices=("exact", "fast"),
-                         default="exact",
-                         help="simulation tier (docs/fidelity.md); fast "
-                              "also queues the exact validation sample so "
-                              "--watch can print calibrated error bars")
-    fsubmit.add_argument("--watch", action="store_true",
-                         help="poll until done and print the sweep table")
-    fsubmit.add_argument("--poll", type=float, default=0.5, metavar="SECONDS",
-                         help="--watch poll interval (default 0.5)")
-    common(fsubmit)
-
-    fstatus = fabric_sub.add_parser(
-        "status", help="fleet status (or one sweep with --sweep)"
-    )
-    fstatus.add_argument("--coordinator", required=True, metavar="URL")
-    fstatus.add_argument("--sweep", default=None, metavar="ID",
-                         help="show one sweep instead of the fleet")
-
-    fwatch = fabric_sub.add_parser(
-        "watch", help="stream live fleet progress over SSE (/events)"
-    )
-    fwatch.add_argument("--coordinator", required=True, metavar="URL")
-    fwatch.add_argument("--sweep", default=None, metavar="ID",
-                        help="exit once this sweep finishes "
-                             "(default: stream until Ctrl-C)")
-    fwatch.add_argument("--poll", type=float, default=2.0, metavar="SECONDS",
-                        help="fallback poll interval when the SSE stream "
-                             "is unavailable (default 2.0)")
-
     lint = sub.add_parser(
         "lint", help="simulator-invariant static analysis (docs/linting.md)"
     )
@@ -373,8 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--update-baseline", action="store_true",
                       help="grandfather every current finding")
     lint.add_argument("--write-registry", action="store_true",
-                      help="regenerate the stat-key/wire-schema/metric-name "
-                           "registries and exit")
+                      help="regenerate the stat-key/metric-name registries "
+                           "and exit")
 
     return parser
 
@@ -636,7 +552,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _grid_table(benchmarks, configs, by_bench, title) -> str:
-    """The benchmarks x configs result table shared by sweep and fabric."""
+    """The benchmarks x configs result table printed by ``repro sweep``."""
     baseline_name = configs[0] if "NP" not in configs else "NP"
     rows = []
     for b in benchmarks:
@@ -701,179 +617,6 @@ def _cmd_obs_trace(args) -> int:
     print("open in https://ui.perfetto.dev or chrome://tracing")
     print(critpath.render_summary(critpath.analyze(spans)))
     return 0
-
-
-def _fabric_logging(verbose: bool) -> None:
-    import logging
-
-    if verbose:
-        logging.basicConfig(
-            level=logging.INFO, stream=sys.stderr,
-            format="%(levelname)s %(name)s: %(message)s",
-        )
-        logging.getLogger("repro").setLevel(logging.INFO)
-
-
-def _cmd_fabric(args) -> int:
-    import json
-
-    if args.fabric_command == "serve":
-        from repro.fabric.coordinator import serve
-
-        _fabric_logging(args.verbose)
-        coordinator, server = serve(
-            host=args.host, port=args.port,
-            lease_seconds=args.lease_seconds,
-            max_attempts=args.max_attempts,
-        )
-        print(f"fabric coordinator on {server.url} "
-              f"(store: {coordinator.store.root})")
-        print("endpoints: /v1/sweeps /v1/lease /v1/complete /v1/heartbeat "
-              "/v1/status /metrics /healthz /progress (Ctrl-C to stop)")
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.close()
-        return 0
-
-    if args.fabric_command == "work":
-        from repro.fabric.agent import WorkerAgent
-
-        _fabric_logging(args.verbose)
-        agent = WorkerAgent(
-            args.coordinator,
-            worker_id=args.worker_id,
-            capacity=args.capacity,
-            poll_seconds=args.poll,
-            drain_idle_seconds=args.drain_idle,
-        )
-        agent.install_signal_handlers()
-        totals = agent.run()
-        print(f"worker {agent.worker_id}: "
-              f"{totals['executed']} executed, {totals['store']} from store, "
-              f"{totals['errors']} errors in {totals['batches']} batch(es)")
-        return 0
-
-    from repro.fabric.client import FabricClient
-
-    client = FabricClient(args.coordinator)
-    if args.fabric_command == "submit":
-        if args.benchmarks:
-            benchmarks = list(args.benchmarks)
-        elif args.suite:
-            benchmarks = list(SUITES[args.suite])
-        else:
-            print("fabric submit: pass --suite or --benchmarks",
-                  file=sys.stderr)
-            return 2
-        configs = list(args.configs)
-        accepted = client.submit(
-            benchmarks, configs, accesses=args.accesses, seed=args.seed,
-            priority=args.priority, fidelity=args.fidelity,
-        )
-        sweep_id = accepted["sweep"]
-        print(f"accepted {sweep_id}: {accepted['total']} jobs, "
-              f"{accepted['deduped']} already in store, "
-              f"{accepted['queued']} queued")
-        if not args.watch:
-            return 0
-        status = client.watch(sweep_id, poll_seconds=args.poll)
-        failed = status.get("failed", [])
-        if args.fidelity == "exact":
-            by_bench = client.fetch_suite(sweep_id)
-            record = None
-        else:
-            by_bench, record = client.fetch_calibrated_suite(sweep_id)
-        if all(c in by_bench.get(b, {}) for b in benchmarks for c in configs):
-            print(
-                _grid_table(
-                    benchmarks, configs, by_bench,
-                    title=(f"fabric {sweep_id}: {len(benchmarks)} benchmarks "
-                           f"x {len(configs)} configs "
-                           f"({args.accesses} accesses)"),
-                )
-            )
-        if record is not None:
-            print(f"  {record.summary()}")
-        for failure in failed:
-            print(f"  FAILED {failure['key']}: {failure['error']}",
-                  file=sys.stderr)
-        return 1 if failed else 0
-
-    if args.fabric_command == "watch":
-        return _fabric_watch(client, args)
-
-    # fabric status
-    document = (
-        client.sweep_status(args.sweep) if args.sweep else client.status()
-    )
-    print(json.dumps(document, indent=2, sort_keys=True))
-    if not args.sweep:
-        from repro.obs import critpath
-        from repro.obs.spans import SpanError, check_span
-
-        try:
-            snapshot = client.trace()
-            spans = [check_span(doc) for doc in snapshot.get("spans", [])]
-        except (OSError, SpanError, ValueError):
-            spans = []
-        if spans:
-            print(critpath.render_summary(critpath.analyze(spans)))
-    return 0
-
-
-def _fabric_watch(client, args) -> int:
-    """``repro fabric watch``: live SSE progress, polling fallback."""
-    import time as _time
-
-    from repro.fabric.client import CoordinatorUnavailable
-    from repro.obs.progress import render_line
-
-    def _finished(snapshot) -> bool:
-        if args.sweep is None:
-            return False
-        try:
-            status = client.sweep_status(args.sweep)
-        except Exception:
-            return False
-        counts = status.get("counts", {})
-        settled = counts.get("done", 0) + counts.get("failed", 0)
-        return settled >= status.get("total", 0)
-
-    print(f"watching {client.url} "
-          + (f"(sweep {args.sweep}, " if args.sweep else "(")
-          + "Ctrl-C to stop)")
-    try:
-        while True:
-            try:
-                for kind, payload in client.events(timeout=30.0):
-                    if kind == "progress" and isinstance(payload, dict):
-                        line = payload.get("line") or str(payload)
-                        print(line)
-                        if payload.get("finished") and _finished(payload):
-                            return 0
-                    elif kind == "sweep" and isinstance(payload, dict):
-                        print(f"sweep {payload.get('sweep')}: "
-                              f"{payload.get('queued')} queued, "
-                              f"{payload.get('deduped')} deduped")
-                    elif kind == "hello":
-                        continue
-                # Server closed the stream; fall through to polling.
-            except CoordinatorUnavailable:
-                pass
-            # SSE unavailable (old server, proxy): poll instead.
-            try:
-                snapshot = client.progress()
-                print(render_line(snapshot))
-                if snapshot.get("finished") and _finished(snapshot):
-                    return 0
-            except (CoordinatorUnavailable, KeyError):
-                print("coordinator unreachable; retrying", file=sys.stderr)
-            _time.sleep(args.poll)
-    except KeyboardInterrupt:
-        return 0
 
 
 def _cmd_figure(args) -> int:
@@ -1033,7 +776,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "cost": lambda: _cmd_cost(args),
         "telemetry": lambda: _cmd_telemetry(args),
         "obs": lambda: _cmd_obs(args),
-        "fabric": lambda: _cmd_fabric(args),
         "lint": lambda: _cmd_lint(args),
     }
     return handlers[args.command]()

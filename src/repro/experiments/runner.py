@@ -80,6 +80,7 @@ def resolve_accesses(accesses: Optional[int]) -> int:
 _trace_cache: Dict[Tuple[str, int, int], Trace] = {}
 _run_cache: Dict[Tuple, RunResult] = {}
 _sim_count = 0  # simulate() calls actually executed by this process
+_worker_sim_count = 0  # results computed by sweep pool workers
 
 
 def get_trace(benchmark: str, accesses: Optional[int] = None, seed: Optional[int] = None) -> Trace:
@@ -159,6 +160,16 @@ def simulate_job(
         ]
     _sim_count += 1
     return simulate(config, traces, tracer=tracer, probes=probes)
+
+
+def note_worker_run() -> None:
+    """Count one result computed by a sweep pool worker.
+
+    A worker's own ``simulated`` counter dies with its process, so the
+    sweep engine reports each result it receives from the pool here.
+    """
+    global _worker_sim_count
+    _worker_sim_count += 1
 
 
 def _store_for(use_store: Optional[bool]) -> Optional[store.ResultStore]:
@@ -377,16 +388,22 @@ def clear_cache() -> None:
     Only in-process state is dropped; the on-disk store is untouched
     (use ``store.get_store().clear()`` for that).
     """
-    global _sim_count
+    global _sim_count, _worker_sim_count
     _trace_cache.clear()
     _run_cache.clear()
     _sim_count = 0
+    _worker_sim_count = 0
 
 
 def cache_info() -> Mapping[str, int]:
-    """Cache sizes plus the number of simulations actually executed."""
+    """Cache sizes plus the number of simulations actually executed.
+
+    ``simulated`` counts runs executed in this process;
+    ``worker_simulated`` counts results computed by sweep pool workers.
+    """
     return {
         "traces": len(_trace_cache),
         "runs": len(_run_cache),
         "simulated": _sim_count,
+        "worker_simulated": _worker_sim_count,
     }

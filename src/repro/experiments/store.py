@@ -11,8 +11,14 @@ mutate key, and a fingerprint of the fully-built
 
 Because the config fingerprint covers every knob of the final config
 (including sweep mutations and preset definitions), editing a preset or
-a mutation automatically invalidates exactly the affected entries —
-stale results can never be served.
+a mutation automatically invalidates exactly the affected entries.
+
+The key covers the job spec and the config fingerprint, **not** the
+simulator source: after a change to the code that simulates (cache,
+controller, core, DRAM, prefetcher, system or workload generation) the
+store will keep serving results computed by the old code.  Clear the
+store (``ResultStore.clear`` or delete ``.repro-results/``) or bump
+:data:`STORE_VERSION` whenever such a change can alter a result.
 
 Traced runs (tracer or probes attached) are **never** stored: their
 side effects are the point of running them, and a stored result cannot
@@ -297,8 +303,7 @@ class ResultStore:
         temp file before ``os.replace``-ing it into place; a writer
         killed between the two leaves the temp file behind forever
         (``entries``/``clear`` skip dot-files).  Startup paths —
-        ``runner.preload_store`` and the fabric coordinator — call this
-        to reap them.  The age guard keeps temp files of concurrent
+        ``runner.preload_store`` — call this to reap them.  The age guard keeps temp files of concurrent
         in-flight writers safe; returns the number removed.
         """
         removed = 0

@@ -133,9 +133,9 @@ def expand_grid(
     """Expand a benchmarks x configs grid into unresolved :class:`Job` specs.
 
     This is the single grid-expansion rule shared by
-    :func:`runner.run_suite`, the ``repro sweep`` CLI, and the fabric
-    coordinator (:mod:`repro.fabric`): benchmark-major, config-minor
-    order, so results align positionally with the nested suite dict.
+    :func:`runner.run_suite` and the ``repro sweep`` CLI: benchmark-major,
+    config-minor order, so results align positionally with the nested
+    suite dict.
     ``fidelity`` is a per-job tier ("exact" or "fast"); the "auto"
     sweep policy is lowered before grid expansion.
     """
@@ -152,9 +152,9 @@ def prepare(job: Job) -> Tuple["Job", Tuple, Dict[str, object], SystemConfig]:
 
     Returns ``(resolved job, in-process cache key, store spec, built
     config)``.  The store spec embeds a fingerprint of the built config,
-    which is what makes job keys portable: any process (local worker,
-    remote fabric agent, coordinator) that prepares the same job from
-    the same code arrives at the same SHA-256 key.
+    which is what makes job keys portable: any process (the parent, a
+    pool worker, a later session) that prepares the same job from the
+    same code arrives at the same SHA-256 key.
     """
     job = job.resolve()
     key = runner.cache_key(job.benchmark, job.config_name, job.accesses,
@@ -173,7 +173,7 @@ def lookup(
     spec: Mapping[str, object],
     active_store: Optional[store.ResultStore],
 ) -> Tuple[Optional[RunResult], Optional[str]]:
-    """Two-layer read-through shared by the local and fabric paths.
+    """Two-layer read-through every job passes before it may execute.
 
     Checks the in-process cache, then the on-disk store (seeding the
     cache on a store hit).  Returns ``(result, source)`` where source is
@@ -495,9 +495,8 @@ def run_jobs(
     ``metrics`` overrides the process default registry; ``recorder``
     overrides the per-call flight recorder.  ``spans`` overrides the
     default span collector and ``trace_parent`` (a ``{"trace","span"}``
-    context) parents the ``sweep.run_jobs`` span, letting a caller —
-    ``run_suite``, a fabric agent — stitch this call into a wider
-    trace.  All default to the ambient/no-op behaviour described in
+    context) parents the ``sweep.run_jobs`` span, letting a caller
+    such as ``run_suite`` stitch this call into a wider trace.  All default to the ambient/no-op behaviour described in
     the module docstring.
 
     Returns a :class:`SweepOutcome` whose ``results`` align one-to-one
@@ -655,6 +654,7 @@ def _run_parallel(
                 done[index] = _finish(item, store.decode_result(payload),
                                       active_store)
                 stats.executed_parallel += 1
+                runner.note_worker_run()
                 obs.job_done("parallel", timing.get("exec_s"),
                              timing.get("queue_wait_s"))
                 obs.job_span(item[1], "parallel",

@@ -1,7 +1,7 @@
 """The fast-model version stamp.
 
 Kept in a leaf module with no imports so that low-level consumers (the
-result store derives job keys from it; the wire protocol ships it) can
+result store derives job keys from it) can
 depend on the constant without pulling the model in.
 
 Bump whenever a change to :mod:`repro.fastsim.model` or

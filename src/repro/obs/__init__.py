@@ -25,15 +25,12 @@ docs/telemetry.md.
   loop stats, tracer counts) into the registry.
 * :mod:`repro.obs.spans` — the span-based wall-clock tracer
   (``NULL_SPANS`` disabled default, ``REPRO_SPANS=1`` or the CLI to
-  enable) stitching sweep/fabric work into per-trace trees.
+  enable) stitching sweep work into per-trace trees.
 * :mod:`repro.obs.critpath` — critical-path / straggler / self-time
   analysis over a finished span tree.
-* :mod:`repro.obs.events` — the fan-out bus behind the ``/events``
-  SSE endpoint.
 """
 
 from repro.obs.critpath import analyze, critical_path, render_summary
-from repro.obs.events import EventBus
 from repro.obs.exporters import (
     parse_exposition,
     registry_snapshot,
@@ -71,7 +68,6 @@ __all__ = [
     "NULL_METRICS",
     "NULL_SPANS",
     "Counter",
-    "EventBus",
     "FlightRecorder",
     "Gauge",
     "Histogram",

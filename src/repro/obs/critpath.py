@@ -2,10 +2,9 @@
 
 Answers the question the raw span list cannot: *which chain of work
 bounded the sweep's wall clock, and who was the straggler?*  Works on
-the encoded-dict span form stored by :class:`repro.obs.spans.SpanCollector`
-(local or stitched fleet-wide), so the same analysis runs on a live
-collector, a ``spans/latest.json`` snapshot, or a coordinator's
-``/spans.json`` reply.
+the encoded-dict span form stored by :class:`repro.obs.spans.SpanCollector`,
+so the same analysis runs on a live collector, a ``spans/latest.json``
+snapshot, or an ``/spans.json`` reply.
 
 Definitions used throughout (all wall-clock seconds):
 
@@ -135,8 +134,8 @@ def analyze(spans: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
     idle = 0.0
     if root is not None:
         # Measure against every other span of the trace, not just
-        # direct children: fabric job spans are grandchildren (sweep ->
-        # lease -> execute) and still count as the fleet doing work.
+        # direct children: job spans are grandchildren (suite ->
+        # run_jobs -> job) and still count as the sweep doing work.
         covered = _union_length(_clipped(
             [doc for doc in trace if doc["span"] != root["span"]],
             root["start_unix"], _end(root),

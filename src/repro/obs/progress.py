@@ -25,11 +25,10 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from typing import Dict, Iterable, Mapping, Optional, TextIO
+from typing import Dict, Optional, TextIO
 
-#: Serving-outcome names, in display order (mirrors SweepStats; the
-#: "fabric" outcome counts jobs executed by remote fabric workers).
-OUTCOMES = ("cached", "store", "parallel", "serial", "fabric")
+#: Serving-outcome names, in display order (mirrors SweepStats).
+OUTCOMES = ("cached", "store", "parallel", "serial")
 
 
 class SweepProgress:
@@ -148,73 +147,6 @@ class SweepProgress:
             "workers": workers,
             "finished": finished,
         }
-
-
-def merge_snapshots(
-    snapshots: Iterable[Mapping[str, object]],
-) -> Dict[str, object]:
-    """Aggregate several progress snapshots into one fleet-wide view.
-
-    Used by the fabric coordinator, whose ``/progress`` endpoint spans
-    every active sweep (one :class:`SweepProgress` each): counts sum,
-    the elapsed clock is the longest of the sources (they overlap in
-    wall time), the ETA is the slowest outstanding estimate, and the
-    merged view is ``finished`` only when every source is.  An empty
-    input merges to an all-zero finished snapshot.
-    """
-    merged: Dict[str, object] = {
-        "total": 0,
-        "done": 0,
-        "remaining": 0,
-        "percent": 0.0,
-        "outcomes": {},
-        "events": {},
-        "elapsed_seconds": 0.0,
-        "mean_job_seconds": None,
-        "eta_seconds": None,
-        "hit_rate": None,
-        "workers": 0,
-        "finished": True,
-        "sources": 0,
-    }
-    outcomes: Dict[str, int] = {}
-    events: Dict[str, int] = {}
-    means = []
-    etas = []
-    for snapshot in snapshots:
-        merged["sources"] += 1
-        merged["total"] += int(snapshot.get("total", 0))
-        merged["done"] += int(snapshot.get("done", 0))
-        merged["workers"] += int(snapshot.get("workers", 0))
-        merged["elapsed_seconds"] = max(
-            merged["elapsed_seconds"], float(snapshot.get("elapsed_seconds", 0.0))
-        )
-        merged["finished"] = merged["finished"] and bool(
-            snapshot.get("finished", False)
-        )
-        for name, count in dict(snapshot.get("outcomes", {})).items():
-            outcomes[name] = outcomes.get(name, 0) + int(count)
-        for name, count in dict(snapshot.get("events", {})).items():
-            events[name] = events.get(name, 0) + int(count)
-        if snapshot.get("mean_job_seconds") is not None:
-            means.append(float(snapshot["mean_job_seconds"]))
-        if not snapshot.get("finished") and snapshot.get("eta_seconds") is not None:
-            etas.append(float(snapshot["eta_seconds"]))
-    merged["outcomes"] = outcomes
-    merged["events"] = events
-    merged["remaining"] = max(0, merged["total"] - merged["done"])
-    if merged["total"]:
-        merged["percent"] = 100.0 * merged["done"] / merged["total"]
-    if means:
-        merged["mean_job_seconds"] = sum(means) / len(means)
-    if merged["finished"] or merged["remaining"] == 0:
-        merged["eta_seconds"] = 0.0
-    elif etas:
-        merged["eta_seconds"] = max(etas)
-    served = outcomes.get("cached", 0) + outcomes.get("store", 0)
-    if merged["done"]:
-        merged["hit_rate"] = served / merged["done"]
-    return merged
 
 
 def _fmt_duration(seconds: float) -> str:

@@ -11,17 +11,13 @@ expose its state without any dependency beyond the standard library:
 * ``GET /healthz``       — liveness JSON: status, pid, uptime, source;
   in snapshot-dir mode it also reports the newest snapshot's age and
   flips ``status`` to ``stale`` once that age exceeds ``stale_after``
-  seconds (a dead sweep stops refreshing its snapshot — the fabric
-  coordinator and external monitors key off this);
-* ``GET /progress``      — a live HTML dashboard of the attached
-  :class:`~repro.obs.progress.SweepProgress` (updates over ``/events``,
-  reloading as a fallback);
+  seconds (a dead sweep stops refreshing its snapshot — external
+  monitors key off this);
+* ``GET /progress``      — a self-refreshing HTML dashboard of the
+  attached :class:`~repro.obs.progress.SweepProgress`;
 * ``GET /progress.json`` — the raw progress snapshot;
 * ``GET /spans.json``    — the attached span collector's stored spans
-  (:mod:`repro.obs.spans`), 404 when no collector is attached;
-* ``GET /events``        — a Server-Sent-Events stream of progress
-  deltas (``event: progress``) and span completions (``event: span``),
-  so watchers update live instead of polling.
+  (:mod:`repro.obs.spans`), 404 when no collector is attached.
 
 Two sources, checked in order: a **live** :class:`MetricsRegistry` (and
 optional ``SweepProgress``) passed at construction — what ``repro sweep
@@ -40,14 +36,12 @@ import html
 import json
 import logging
 import os
-import queue
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
 from repro.obs import exporters
-from repro.obs.events import EventBus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import SweepProgress, render_line
 from repro.obs.spans import SPANS_VERSION, SpanCollector
@@ -58,6 +52,7 @@ _DASHBOARD_TEMPLATE = """<!DOCTYPE html>
 <html lang="en">
 <head>
 <meta charset="utf-8">
+<meta http-equiv="refresh" content="2">
 <title>repro sweep progress</title>
 <style>
   body {{ font-family: ui-monospace, monospace; margin: 2rem; }}
@@ -68,30 +63,15 @@ _DASHBOARD_TEMPLATE = """<!DOCTYPE html>
 </head>
 <body>
 <h1>repro sweep</h1>
-<p><progress id="bar" max="{total}" value="{done}"></progress>
- <span id="pct">{percent:.0f}%</span></p>
-<p id="line">{line}</p>
+<p><progress max="{total}" value="{done}"></progress> {percent:.0f}%</p>
+<p>{line}</p>
 <table>
 <tr><th>counter</th><th>value</th></tr>
 {rows}
 </table>
 <p><a href="/metrics">/metrics</a> · <a href="/metrics.json">/metrics.json</a>
  · <a href="/healthz">/healthz</a> · <a href="/progress.json">/progress.json</a>
- · <a href="/spans.json">/spans.json</a> · <a href="/events">/events</a></p>
-<script>
-  // Live updates over /events; falls back to reloading (the old
-  // meta-refresh behaviour) if the SSE stream is unavailable.
-  const es = new EventSource('/events');
-  es.addEventListener('progress', (e) => {{
-    const s = JSON.parse(e.data);
-    const bar = document.getElementById('bar');
-    bar.max = Math.max(1, s.total);
-    bar.value = s.done;
-    document.getElementById('pct').textContent = s.percent.toFixed(0) + '%';
-    if (s.line) document.getElementById('line').textContent = s.line;
-  }});
-  es.onerror = () => {{ es.close(); setTimeout(() => location.reload(), 2000); }};
-</script>
+ · <a href="/spans.json">/spans.json</a></p>
 </body>
 </html>
 """
@@ -113,7 +93,6 @@ class ObsServer:
         port: int = 0,
         stale_after: Optional[float] = DEFAULT_STALE_AFTER,
         spans: Optional[SpanCollector] = None,
-        events: Optional[EventBus] = None,
     ) -> None:
         if registry is None and snapshot_dir is None:
             raise ValueError("ObsServer needs a registry or a snapshot_dir")
@@ -122,11 +101,8 @@ class ObsServer:
         self.snapshot_dir = snapshot_dir
         self.stale_after = stale_after
         self.spans = spans
-        self.events = events if events is not None else EventBus()
         self._started_monotonic = time.monotonic()
         self._thread: Optional[threading.Thread] = None
-        self._closing = False
-        self._wired = False
         owner = self
 
         class _Handler(BaseHTTPRequestHandler):
@@ -134,9 +110,6 @@ class ObsServer:
 
             def do_GET(self) -> None:  # noqa: N802 (http.server API)
                 owner._route(self)
-
-            def do_POST(self) -> None:  # noqa: N802 (http.server API)
-                owner._route_post(self)
 
             def log_message(self, format: str, *args: object) -> None:
                 _log.debug("%s - %s", self.address_string(), format % args)
@@ -158,7 +131,6 @@ class ObsServer:
 
     def start(self) -> "ObsServer":
         """Begin serving on a daemon thread; returns self."""
-        self._wire_events()
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             name="repro-obs-server",
@@ -176,8 +148,6 @@ class ObsServer:
         or a half-torn-down serve loop) — leaking the port would make
         every later bind on it fail with EADDRINUSE.
         """
-        self._closing = True
-        self.events.close()  # wakes any blocked /events handler thread
         try:
             self._httpd.shutdown()
         finally:
@@ -185,21 +155,6 @@ class ObsServer:
             if self._thread is not None:
                 self._thread.join(timeout=5)
                 self._thread = None
-
-    def _wire_events(self) -> None:
-        """Feed the SSE bus from the attached progress and span sources."""
-        if self._wired:
-            return
-        self._wired = True
-        if self.progress is not None and hasattr(self.progress, "subscribe"):
-            self.progress.subscribe(self._publish_progress)
-        if self.spans is not None:
-            self.spans.subscribe(lambda doc: self.events.publish("span", doc))
-
-    def _publish_progress(self, progress: SweepProgress) -> None:
-        snapshot = progress.snapshot()
-        snapshot["line"] = render_line(snapshot)
-        self.events.publish("progress", snapshot)
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until interrupted (CLI use)."""
@@ -254,16 +209,6 @@ class ObsServer:
             ):
                 health["status"] = "stale"
                 health["stale_after_seconds"] = self.stale_after
-        # Fleet-skew visibility: every obs endpoint states which fabric
-        # wire version and span plane this process runs, so a mixed
-        # fleet is diagnosable from /healthz before a key-mismatch or
-        # protocol error surfaces.  Imported lazily — fabric sits above
-        # obs in the layering.
-        try:
-            from repro.fabric.protocol import PROTOCOL_VERSION
-            health["protocol"] = PROTOCOL_VERSION
-        except ImportError:  # pragma: no cover - fabric always ships
-            pass
         spans = self.spans
         health["obs"] = {
             "spans": "enabled" if spans is not None and spans.enabled
@@ -271,7 +216,6 @@ class ObsServer:
         }
         if spans is not None and spans.enabled:
             health["obs"]["span_count"] = len(spans)
-        health.update(self.health_extra())
         return health
 
     def _snapshot_age(self) -> Optional[float]:
@@ -291,10 +235,6 @@ class ObsServer:
             return max(0.0, time.time() - os.path.getmtime(path))
         except OSError:
             return None
-
-    def health_extra(self) -> Dict[str, object]:
-        """Subclass hook: extra fields merged into the ``/healthz`` body."""
-        return {}
 
     def _progress_snapshot(self) -> Optional[Dict[str, object]]:
         if self.progress is not None:
@@ -361,14 +301,10 @@ class ObsServer:
                         "dropped": self.spans.dropped,
                         "spans": self.spans.spans(),
                     })
-            elif path == "/events":
-                self._stream_events(handler)
             elif path in ("/", "/progress"):
                 self._respond(
                     handler, 200, "text/html; charset=utf-8", self._dashboard()
                 )
-            elif self._handle_get(handler, path):
-                pass
             else:
                 self._respond_json(handler, 404, {"error": f"no route {path}"})
         except BrokenPipeError:  # client went away mid-response
@@ -379,75 +315,6 @@ class ObsServer:
                 self._respond_json(handler, 500, {"error": "internal error"})
             except Exception:
                 pass
-
-    def _route_post(self, handler: BaseHTTPRequestHandler) -> None:
-        path = handler.path.split("?", 1)[0]
-        try:
-            if not self._handle_post(handler, path):
-                self._respond_json(
-                    handler, 405, {"error": f"no POST route {path}"}
-                )
-        except BrokenPipeError:
-            pass
-        except Exception:
-            _log.exception("obs endpoint failed serving POST %s", path)
-            try:
-                self._respond_json(handler, 500, {"error": "internal error"})
-            except Exception:
-                pass
-
-    def _handle_get(self, handler: BaseHTTPRequestHandler, path: str) -> bool:
-        """Subclass hook for extra GET routes; True = request handled."""
-        return False
-
-    def _handle_post(self, handler: BaseHTTPRequestHandler, path: str) -> bool:
-        """Subclass hook for POST routes; True = request handled."""
-        return False
-
-    # -- the SSE stream ------------------------------------------------
-    def _stream_events(self, handler: BaseHTTPRequestHandler) -> None:
-        """Serve one ``/events`` client until it disconnects or we close.
-
-        Runs on the request's own thread (ThreadingHTTPServer), blocking
-        on the subscriber queue with a short timeout so keepalive
-        comments flow while nothing happens and shutdown is prompt.
-        """
-        subscriber = self.events.subscribe()
-        try:
-            handler.send_response(200)
-            handler.send_header("Content-Type", "text/event-stream")
-            handler.send_header("Cache-Control", "no-store")
-            handler.send_header("Connection", "close")
-            handler.end_headers()
-            hello = {
-                "pid": os.getpid(),
-                "progress": self._progress_snapshot(),
-                "spans": len(self.spans) if self.spans is not None else 0,
-            }
-            self._write_sse(handler, "hello", hello)
-            while not self._closing:
-                try:
-                    item = subscriber.get(timeout=0.5)
-                except queue.Empty:
-                    handler.wfile.write(b": keepalive\n\n")
-                    handler.wfile.flush()
-                    continue
-                if item is None:  # close() sentinel
-                    break
-                kind, payload = item
-                self._write_sse(handler, kind, payload)
-        except (BrokenPipeError, ConnectionError, OSError):
-            pass  # client went away; nothing to salvage
-        finally:
-            self.events.unsubscribe(subscriber)
-
-    @staticmethod
-    def _write_sse(
-        handler: BaseHTTPRequestHandler, kind: str, payload: object
-    ) -> None:
-        frame = f"event: {kind}\ndata: {json.dumps(payload, sort_keys=True)}\n\n"
-        handler.wfile.write(frame.encode("utf-8"))
-        handler.wfile.flush()
 
     @staticmethod
     def _respond(

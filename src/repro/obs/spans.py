@@ -1,13 +1,13 @@
-"""Span-based wall-clock tracing for the sweep/fabric pipeline.
+"""Span-based wall-clock tracing for the sweep pipeline.
 
 Where :mod:`repro.obs.metrics` counts *what* happened, spans record
-*where the time went*: every unit of work (a sweep, a job, a lease, a
-worker execution) becomes one record with a trace id, a span id, an
-optional parent span id, a wall-clock start, a duration, and free-form
-attributes.  Records from different processes — the pool parent, the
-fabric coordinator, remote workers — stitch into one tree as long as
-they share trace/parent ids, which the fabric carries on the wire
-(protocol v3, see docs/fabric.md).
+*where the time went*: every unit of work (a suite, a sweep, a job's
+queue wait and execution) becomes one record with a trace id, a span
+id, an optional parent span id, a wall-clock start, a duration, and
+free-form attributes.  Records stitch into one tree through their
+trace/parent ids; a caller hands its ``span.context()`` down (e.g.
+``run_suite`` to ``run_jobs(trace_parent=...)``) to nest the work it
+delegates.
 
 The collector follows the same disabled-by-default contract as
 ``NULL_TRACER`` / ``NULL_METRICS``: instrumented sites ask
@@ -19,10 +19,10 @@ collector returns the shared no-op :data:`NULL_SPAN` before any id
 generation or clock read, so the off state costs one branch per site.
 
 Finished spans are stored as plain JSON-ready dicts in a bounded deque
-(oldest evicted first, evictions counted), which makes fleet ingestion
-(:meth:`SpanCollector.ingest`), snapshot export (:func:`write_spans`)
-and the Chrome trace-event conversion (:func:`to_chrome_trace`)
-operate on one shape.  Wall-clock reads are legitimate here — the span
+(oldest evicted first, evictions counted), which makes snapshot export
+(:func:`write_spans`), snapshot loading (:func:`load_spans`) and the
+Chrome trace-event conversion (:func:`to_chrome_trace`) operate on one
+shape.  Wall-clock reads are legitimate here — the span
 plane measures the host, not the simulated machine (``repro/obs/`` is
 on the DET001 allowlist, see docs/linting.md).
 """
@@ -38,7 +38,6 @@ import uuid
 from collections import deque
 from typing import (
     Any,
-    Callable,
     Deque,
     Dict,
     Iterable,
@@ -84,7 +83,7 @@ def make_span(
     status: str = "ok",
     attributes: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Build the encoded (wire/snapshot) form of one finished span."""
+    """Build the encoded (snapshot) form of one finished span."""
     return {
         "name": str(name),
         "trace": str(trace_id),
@@ -98,10 +97,10 @@ def make_span(
 
 
 def check_span(document: Any) -> Dict[str, Any]:
-    """Validate an encoded span (e.g. off the wire); returns a copy.
+    """Validate an encoded span (e.g. read from a snapshot); returns a copy.
 
-    Raises :class:`SpanError` on any shape violation so a skewed or
-    malicious worker cannot poison the coordinator's span store.
+    Raises :class:`SpanError` on any shape violation so a corrupt or
+    hand-edited snapshot fails loudly instead of exporting garbage.
     """
     if not isinstance(document, Mapping):
         raise SpanError("span must be a JSON object")
@@ -130,21 +129,6 @@ def check_span(document: Any) -> Dict[str, Any]:
         document["trace"], span_id=document["span"], parent_id=parent,
         status=document["status"], attributes=attrs,
     )
-
-
-def check_context(value: Any, where: str = "trace context") -> Optional[Dict[str, str]]:
-    """Validate a wire trace context; returns ``{"trace", "span"}`` or None."""
-    if value is None:
-        return None
-    if not isinstance(value, Mapping):
-        raise SpanError(f"{where} must be an object or null")
-    trace = value.get("trace")
-    span = value.get("span")
-    if not isinstance(trace, str) or not trace:
-        raise SpanError(f"{where} needs a non-empty 'trace' id")
-    if not isinstance(span, str) or not span:
-        raise SpanError(f"{where} needs a non-empty 'span' id")
-    return {"trace": trace, "span": span}
 
 
 ParentLike = Union["Span", Mapping[str, Any], None]
@@ -202,7 +186,7 @@ class Span:
         return self
 
     def context(self) -> Dict[str, str]:
-        """The wire-portable ``{"trace", "span"}`` context of this span."""
+        """The portable ``{"trace", "span"}`` context of this span."""
         return {"trace": self.trace_id, "span": self.span_id}
 
     def finish(self, status: Optional[str] = None) -> Optional[Dict[str, Any]]:
@@ -271,7 +255,6 @@ class SpanCollector:
         self._lock = threading.Lock()
         self._spans: Deque[Dict[str, Any]] = deque(maxlen=self.capacity)
         self._dropped = 0
-        self._listeners: List[Callable[[Dict[str, Any]], None]] = []
 
     def span(self, name: str, parent: ParentLike = None,
              trace_id: Optional[str] = None, **attributes: Any):
@@ -302,29 +285,11 @@ class SpanCollector:
             if len(self._spans) == self.capacity:
                 self._dropped += 1
             self._spans.append(document)
-            listeners = list(self._listeners)
-        for listener in listeners:  # outside the lock: listeners may block
-            listener(document)
-
-    def ingest(self, documents: Iterable[Mapping[str, Any]]) -> int:
-        """Validate and record remotely-produced spans; returns the count."""
-        count = 0
-        if not self.enabled:
-            return count
-        for document in documents:
-            self.record(check_span(document))
-            count += 1
-        return count
 
     def spans(self) -> List[Dict[str, Any]]:
         """A point-in-time copy of every stored span, oldest first."""
         with self._lock:
             return list(self._spans)
-
-    def subscribe(self, listener: Callable[[Dict[str, Any]], None]) -> None:
-        """Call ``listener(encoded_span)`` on every recorded span."""
-        with self._lock:
-            self._listeners.append(listener)
 
     def clear(self) -> None:
         with self._lock:
@@ -369,7 +334,7 @@ def default_collector() -> SpanCollector:
 
 
 def set_default_collector(collector: SpanCollector) -> None:
-    """Install ``collector`` as the process-wide default (CLI/fleet)."""
+    """Install ``collector`` as the process-wide default (CLI)."""
     global _default, _default_resolved
     with _default_lock:
         _default = collector

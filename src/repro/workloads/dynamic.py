@@ -1,10 +1,10 @@
 """Dynamic benchmarks: workloads and trace files encoded as names.
 
-The whole execution stack — runner cache, sweep engine, result store,
-fabric wire protocol — identifies a job by its *benchmark name* string
-(plus config/accesses/seed/...).  That is what makes results portable
-across processes and hosts: any worker can re-derive the trace from the
-name alone.  This module extends the name space beyond the static
+The whole execution stack — runner cache, sweep engine, result store —
+identifies a job by its *benchmark name* string (plus
+config/accesses/seed/...).  That is what makes results portable across
+processes: any pool worker can re-derive the trace from the name
+alone.  This module extends the name space beyond the static
 profile registry with two schemes:
 
 * ``wl:<canonical-json>`` — a full :class:`~repro.workloads.synthetic.
@@ -22,8 +22,8 @@ profile registry with two schemes:
   result can never be served for new bytes.
 
 Both schemes are resolved by :func:`repro.experiments.runner.get_trace`
-(and therefore by the exact simulator, the fast model, sweep workers,
-and fabric agents alike).
+(and therefore by the exact simulator, the fast model, and sweep
+workers alike).
 """
 
 from __future__ import annotations

@@ -3,14 +3,13 @@
 The property the whole tier rests on: every FidelityGate validation
 sample's relative error is within the advertised bound — asserted here
 across the figure-5 suite grid at reduced trace length, plus the auto
-tier's exact-replacement and decision-boundary escalation, the store
-round-trip of calibrated error bars, and a fast-fidelity sweep through
-a live fabric fleet.
+tier's exact-replacement and decision-boundary escalation, and the
+store round-trip of calibrated error bars.
 """
 
 import pytest
 
-from repro.experiments import runner, store, sweep
+from repro.experiments import runner, sweep
 from repro.fastsim import FidelityGate, run_fidelity_sweep
 from repro.fastsim.gate import GATED_METRICS, relative_error
 from repro.workloads.profiles import suite_benchmarks
@@ -131,47 +130,3 @@ class TestStoreRoundTrip:
         exact = run_fidelity_sweep(jobs, fidelity="exact")
         assert exact.results[0].fidelity is None
 
-
-class TestFabricFastFidelity:
-    def test_fleet_sweep_returns_calibrated_suite(self, tmp_path):
-        from repro.fabric.agent import WorkerAgent
-        from repro.fabric.client import FabricClient
-        from repro.fabric.coordinator import Coordinator, CoordinatorServer
-
-        coordinator = Coordinator(
-            result_store=store.ResultStore(str(tmp_path / "coordinator"))
-        )
-        server = CoordinatorServer(coordinator).start()
-        try:
-            client = FabricClient(server.url)
-            accepted = client.submit(
-                ["milc"], ["NP", "PMS"], accesses=ACCESSES, seed=SEED,
-                fidelity="fast",
-            )
-            # the fast grid plus the gate's exact validation twins
-            assert accepted["total"] == 2 + FidelityGate().sample_size(2)
-            agent = WorkerAgent(
-                server.url, worker_id="w1", capacity=4,
-                poll_seconds=0.05, drain_idle_seconds=0.2,
-                result_store=store.ResultStore(str(tmp_path / "worker")),
-            )
-            totals = agent.run()
-            assert totals["errors"] == 0
-            suite, record = client.fetch_calibrated_suite(accepted["sweep"])
-            assert record is not None and record.samples >= 1
-            tiers = {
-                result.fidelity_tier
-                for per_config in suite.values()
-                for result in per_config.values()
-            }
-            assert "exact" in tiers  # validation twins win their cells
-            fast_rows = [
-                result
-                for per_config in suite.values()
-                for result in per_config.values()
-                if result.fidelity_tier == "fast"
-            ]
-            for result in fast_rows:
-                assert result.error_bar("cycles") == record.bound("cycles")
-        finally:
-            server.close()

@@ -9,6 +9,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
 )
@@ -27,9 +29,17 @@ def _run(*argv):
     )
 
 
+@pytest.fixture(scope="module")
+def check_run(tmp_path_factory):
+    """One whole-tree ``--check --output`` run shared by the tests that
+    only differ in which part of its result they inspect."""
+    artifact = tmp_path_factory.mktemp("lint") / "lint-report.json"
+    return _run("tools/lint.py", "--check", "--output", str(artifact)), artifact
+
+
 class TestToolsLint:
-    def test_check_passes_on_the_repo(self):
-        proc = _run("tools/lint.py", "--check")
+    def test_check_passes_on_the_repo(self, check_run):
+        proc, _ = check_run
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "0 new finding(s)" in proc.stdout
 
@@ -45,7 +55,6 @@ class TestToolsLint:
         the same invariant CI enforces with git diff --exit-code."""
         registries = [
             os.path.join(REPO_ROOT, "src", "repro", "common", "stat_keys.py"),
-            os.path.join(REPO_ROOT, "src", "repro", "fabric", "wire_schema.py"),
             os.path.join(REPO_ROOT, "src", "repro", "obs", "metric_names.py"),
         ]
         before = {}
@@ -58,11 +67,10 @@ class TestToolsLint:
             with open(registry, "r", encoding="utf-8") as handle:
                 assert handle.read() == before[registry], registry
 
-    def test_output_writes_json_artifact(self, tmp_path):
+    def test_output_writes_json_artifact(self, check_run):
         """--output writes the JSON report to a file (the CI artifact)
         while stdout keeps the human-readable report."""
-        artifact = tmp_path / "lint-report.json"
-        proc = _run("tools/lint.py", "--check", "--output", str(artifact))
+        proc, artifact = check_run
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "0 new finding(s)" in proc.stdout  # stdout stays text
         data = json.loads(artifact.read_text())

@@ -47,6 +47,15 @@ class TestParallelEqualsSerial:
         runner.run(BENCHMARKS[0], CONFIGS[0], accesses=ACCESSES)
         assert runner.cache_info()["simulated"] == before
 
+    def test_pool_worker_runs_are_counted(self):
+        runner.run_suite(BENCHMARKS, CONFIGS, accesses=ACCESSES, jobs=2)
+        info = runner.cache_info()
+        # "simulated" stays in-process only; worker results count apart
+        assert info["simulated"] == 0
+        assert info["worker_simulated"] == len(BENCHMARKS) * len(CONFIGS)
+        runner.clear_cache()
+        assert runner.cache_info()["worker_simulated"] == 0
+
 
 class TestStoreAcrossSessions:
     def test_second_session_simulates_nothing(self):

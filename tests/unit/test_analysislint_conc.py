@@ -9,7 +9,7 @@ from repro.analysislint.concurrency import (
 )
 from tests.unit._lint_util import mount, mount_text, real_tree
 
-FIXTURE = ("conc_violations.py", "src/repro/fabric/conc_violations.py")
+FIXTURE = ("conc_violations.py", "src/repro/obs/conc_violations.py")
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ class TestThreadLifecycle:
             "import threading\n\n\n"
             "def fire(job):\n"
             "    threading.Thread(target=job).start()\n",
-            "src/repro/fabric/unbound.py",
+            "src/repro/obs/unbound.py",
         )
         findings = ThreadLifecycleRule().check(tree)
         assert len(findings) == 1
@@ -51,7 +51,7 @@ class TestThreadLifecycle:
             "import threading\n\n\n"
             "def fire(job):\n"
             "    threading.Thread(target=job).start()  # lint: thread-ok\n",
-            "src/repro/fabric/waived.py",
+            "src/repro/obs/waived.py",
         )
         assert ThreadLifecycleRule().check(tree) == []
 
@@ -125,7 +125,7 @@ class TestLockBlocking:
             "    with open(path) as handle:\n"
             "        time.sleep(1)\n"
             "        return handle.read()\n",
-            "src/repro/fabric/nolock.py",
+            "src/repro/obs/nolock.py",
         )
         assert LockBlockingRule().check(tree) == []
 

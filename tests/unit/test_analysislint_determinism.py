@@ -63,14 +63,14 @@ class TestScoping:
         tree = mount(("det_violations.py", "src/repro/telemetry/tracer.py"))
         assert WallClockRule().check(tree) == []
 
-    def test_fabric_allowlisted_for_wallclock(self):
-        # lease timers and heartbeats measure real elapsed time, so the
-        # fabric package is wall-clock-allowlisted like telemetry/obs
-        tree = mount(("det_violations.py", "src/repro/fabric/agent.py"))
+    def test_obs_allowlisted_for_wallclock(self):
+        # span and snapshot timestamps measure the host, so the obs
+        # package is wall-clock-allowlisted like telemetry
+        tree = mount(("det_violations.py", "src/repro/obs/agent.py"))
         assert WallClockRule().check(tree) == []
 
     def test_sim_packages_still_fire_wallclock(self):
-        # the fabric allowlist must not leak: the same body mounted
+        # the obs allowlist must not leak: the same body mounted
         # under a simulator package keeps firing DET001
         tree = mount(("det_violations.py", "src/repro/prefetch/agent.py"))
         findings = WallClockRule().check(tree)

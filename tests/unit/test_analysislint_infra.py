@@ -58,7 +58,7 @@ class TestConfigLoading:
             "[tool.repro.lint]\n"
             "metric_label_cap = 5\n"
             "[tool.repro.lint.scope]\n"
-            'fleet_packages = ["fabric"]\n'
+            'fleet_packages = ["experiments"]\n'
             "[tool.repro.lint.severity]\n"
             'HYG001 = "warn"\n'
             'DET004 = "off"\n'
@@ -66,7 +66,7 @@ class TestConfigLoading:
         )
         config = load_config(str(tmp_path))
         assert config.metric_label_cap == 5
-        assert config.fleet_packages == ("fabric",)
+        assert config.fleet_packages == ("experiments",)
         # untouched scopes keep their defaults
         assert config.sim_packages == DEFAULT_CONFIG.sim_packages
         assert config.rule_severity("HYG001") == "warn"
@@ -85,7 +85,7 @@ class TestFallbackTomlParser:
             doc = _parse_toml_subset(fh.read())
         lint = doc["tool"]["repro"]["lint"]
         assert lint["metric_label_cap"] == 3
-        assert tuple(lint["scope"]["fleet_packages"]) == ("fabric", "obs")
+        assert tuple(lint["scope"]["fleet_packages"]) == ("obs",)
         assert tuple(lint["allow"]["wallclock"]) == DEFAULT_CONFIG.wallclock_allowlist
 
     def test_agrees_with_tomllib_when_available(self):
@@ -188,7 +188,7 @@ class TestStaleWaivers:
     def test_prose_mentioning_the_syntax_is_not_a_waiver(self):
         tree = mount_text(
             "#: docs may say ``# lint: resource-ok`` without waiving\n" "x = 1\n",
-            "src/repro/fabric/docsy.py",
+            "src/repro/obs/docsy.py",
         )
         assert tree.files[0].waivers == {}
 
@@ -224,7 +224,7 @@ class TestFixtureMounting:
     def test_mounted_relpath_drives_package_scoping(self):
         tree = mount(("det_violations.py", "src/repro/dram/det_violations.py"))
         assert tree.in_packages({"dram"}) == tree.files
-        assert tree.in_packages({"fabric"}) == []
+        assert tree.in_packages({"obs"}) == []
 
     def test_mount_text_root_override(self, tmp_path):
         tree = mount_text("x = 1\n", "src/repro/obs/t.py", root=str(tmp_path))

@@ -115,74 +115,6 @@ class TestObsFlags:
             _build_parser().parse_args(["obs", "trace"])
 
 
-class TestFabricSubcommand:
-    def test_serve_defaults(self):
-        args = _build_parser().parse_args(["fabric", "serve"])
-        assert args.fabric_command == "serve"
-        assert args.host == "127.0.0.1"
-        assert args.port == 8765
-        assert args.lease_seconds == 60.0
-        assert args.max_attempts == 3
-
-    def test_work_requires_coordinator(self):
-        with pytest.raises(SystemExit):
-            _build_parser().parse_args(["fabric", "work"])
-
-    def test_work_flags(self):
-        args = _build_parser().parse_args(
-            ["fabric", "work", "--coordinator", "http://h:1",
-             "--id", "w7", "--capacity", "4", "--poll", "0.2",
-             "--drain-idle", "9"]
-        )
-        assert args.coordinator == "http://h:1"
-        assert args.worker_id == "w7"
-        assert args.capacity == 4
-        assert args.poll == 0.2
-        assert args.drain_idle == 9.0
-
-    def test_submit_defaults_and_grid(self):
-        args = _build_parser().parse_args(
-            ["fabric", "submit", "--coordinator", "http://h:1",
-             "-b", "milc", "tonto", "-c", "NP", "PS"]
-        )
-        assert args.benchmarks == ["milc", "tonto"]
-        assert args.configs == ["NP", "PS"]
-        assert args.accesses == 15_000
-        assert not args.watch
-
-    def test_status_takes_optional_sweep(self):
-        args = _build_parser().parse_args(
-            ["fabric", "status", "--coordinator", "http://h:1",
-             "--sweep", "sweep-3"]
-        )
-        assert args.sweep == "sweep-3"
-
-    def test_watch_defaults(self):
-        args = _build_parser().parse_args(
-            ["fabric", "watch", "--coordinator", "http://h:1"]
-        )
-        assert args.fabric_command == "watch"
-        assert args.coordinator == "http://h:1"
-        assert args.sweep is None
-        assert args.poll == 2.0
-
-    def test_watch_flags(self):
-        args = _build_parser().parse_args(
-            ["fabric", "watch", "--coordinator", "http://h:1",
-             "--sweep", "sweep-9", "--poll", "0.5"]
-        )
-        assert args.sweep == "sweep-9"
-        assert args.poll == 0.5
-
-    def test_watch_requires_coordinator(self):
-        with pytest.raises(SystemExit):
-            _build_parser().parse_args(["fabric", "watch"])
-
-    def test_fabric_requires_subcommand(self):
-        with pytest.raises(SystemExit):
-            _build_parser().parse_args(["fabric"])
-
-
 class TestLintSubcommand:
     def test_lint_defaults(self):
         args = _build_parser().parse_args(["lint"])
@@ -223,22 +155,6 @@ class TestFidelityFlags:
         with pytest.raises(SystemExit):
             _build_parser().parse_args(
                 ["sweep", "-b", "milc", "--fidelity", "approximate"]
-            )
-
-    def test_fabric_submit_fidelity(self):
-        args = _build_parser().parse_args(
-            ["fabric", "submit", "--coordinator", "http://127.0.0.1:1",
-             "-b", "milc", "-c", "NP", "--fidelity", "fast"]
-        )
-        assert args.fidelity == "fast"
-
-    def test_fabric_submit_rejects_auto(self):
-        # escalation needs the local orchestrator loop; the fabric
-        # accepts per-job tiers only
-        with pytest.raises(SystemExit):
-            _build_parser().parse_args(
-                ["fabric", "submit", "--coordinator", "http://127.0.0.1:1",
-                 "-b", "milc", "--fidelity", "auto"]
             )
 
 

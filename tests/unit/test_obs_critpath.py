@@ -58,8 +58,8 @@ class TestCriticalPath:
         assert [doc["span"] for doc in chain] == ["root", "j4"]
 
     def test_orphan_parents_treated_as_roots(self):
-        # a worker span whose lease parent never reached this snapshot
-        orphan = span("fabric.execute", 5.0, 2.0, span_id="o1",
+        # a job span whose sweep parent never reached this snapshot
+        orphan = span("sweep.exec", 5.0, 2.0, span_id="o1",
                       parent="never-seen")
         chain = critical_path([orphan])
         assert chain == [orphan]
@@ -108,12 +108,12 @@ class TestAnalyze:
         assert abs(analysis["idle_s"] - 0.8) < 1e-9
 
     def test_idle_sees_grandchildren(self):
-        # fabric execute spans hang off the lease, not the root; work
-        # done two levels down still is not idle time
+        # run_jobs spans hang off the suite root and job spans off
+        # run_jobs; work done two levels down still is not idle time
         docs = [
-            span("fabric.sweep", 0.0, 4.0, span_id="r"),
-            span("fabric.lease", 0.0, 0.0, span_id="l", parent="r"),
-            span("fabric.execute", 0.0, 4.0, span_id="e", parent="l"),
+            span("sweep.suite", 0.0, 4.0, span_id="r"),
+            span("sweep.run_jobs", 0.0, 0.0, span_id="l", parent="r"),
+            span("sweep.job", 0.0, 4.0, span_id="e", parent="l"),
         ]
         assert analyze(docs)["idle_s"] == 0.0
 

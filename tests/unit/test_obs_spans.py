@@ -1,8 +1,7 @@
-"""Unit tests for repro.obs.spans and repro.obs.events.
+"""Unit tests for repro.obs.spans.
 
 Pins the disabled-by-default contract (NULL_SPANS / NULL_SPAN mirrors
-NULL_METRICS), the encoded-span schema the fabric ships on the wire,
-snapshot round-trips, and the Chrome trace-event export the
+NULL_METRICS), the encoded-span schema, snapshot round-trips, and the Chrome trace-event export the
 ``repro obs trace export`` command renders for Perfetto.
 """
 
@@ -11,13 +10,11 @@ import json
 import pytest
 
 from repro.obs import spans as obs_spans
-from repro.obs.events import EventBus
 from repro.obs.spans import (
     NULL_SPAN,
     NULL_SPANS,
     SpanCollector,
     SpanError,
-    check_context,
     check_span,
     load_spans,
     make_span,
@@ -63,15 +60,6 @@ class TestEncodedForm:
         with pytest.raises(SpanError, match="unknown span fields"):
             check_span(doc)
 
-    def test_check_context(self):
-        assert check_context(None) is None
-        ctx = {"trace": "t", "span": "s"}
-        assert check_context(ctx) == ctx
-        with pytest.raises(SpanError, match="'span'"):
-            check_context({"trace": "t"})
-        with pytest.raises(SpanError, match="object or null"):
-            check_context("t/s")
-
 
 class TestDisabledContract:
     def test_null_collector_returns_null_span(self):
@@ -85,9 +73,8 @@ class TestDisabledContract:
             pass  # context-manager form is a no-op too
         assert len(NULL_SPANS) == 0
 
-    def test_null_collector_ignores_add_and_ingest(self):
+    def test_null_collector_ignores_add(self):
         assert NULL_SPANS.add("x", 0.0, 1.0) is None
-        assert NULL_SPANS.ingest([make_span("x", 0.0, 1.0, "t")]) == 0
         assert len(NULL_SPANS) == 0
 
     def test_default_resolves_to_null_without_optin(self, monkeypatch):
@@ -136,7 +123,7 @@ class TestLiveSpans:
     def test_parent_can_be_wire_context(self):
         collector = SpanCollector(enabled=True)
         ctx = {"trace": "t" * 32, "span": "p" * 16}
-        span = collector.span("fabric.sweep", parent=ctx)
+        span = collector.span("sweep.run_jobs", parent=ctx)
         assert span.trace_id == ctx["trace"]
         assert span.parent_id == ctx["span"]
 
@@ -159,7 +146,7 @@ class TestLiveSpans:
     def test_exception_flips_status_to_error(self):
         collector = SpanCollector(enabled=True)
         with pytest.raises(RuntimeError):
-            with collector.span("fabric.submit"):
+            with collector.span("sweep.suite"):
                 raise RuntimeError("boom")
         assert collector.spans()[0]["status"] == "error"
 
@@ -177,21 +164,6 @@ class TestLiveSpans:
         assert len(collector) == 3
         assert collector.dropped == 2
         assert [d["start_unix"] for d in collector.spans()] == [2.0, 3.0, 4.0]
-
-    def test_ingest_validates(self):
-        collector = SpanCollector(enabled=True)
-        good = make_span("fabric.execute", 0.0, 1.0, "t")
-        assert collector.ingest([good]) == 1
-        with pytest.raises(SpanError):
-            collector.ingest([{"name": "bad"}])
-
-    def test_listeners_see_every_record(self):
-        collector = SpanCollector(enabled=True)
-        seen = []
-        collector.subscribe(seen.append)
-        collector.add("x", 0.0, 1.0)
-        collector.span("y").finish()
-        assert [d["name"] for d in seen] == ["x", "y"]
 
 
 class TestSnapshots:
@@ -221,10 +193,10 @@ class TestChromeTraceExport:
     def test_events_rebased_with_worker_lanes(self):
         trace = "t" * 32
         spans = [
-            make_span("fabric.sweep", 100.0, 2.0, trace),
-            make_span("fabric.execute", 100.5, 1.0, trace,
+            make_span("sweep.run_jobs", 100.0, 2.0, trace),
+            make_span("sweep.exec", 100.5, 1.0, trace,
                       attributes={"worker": "w1"}),
-            make_span("fabric.execute", 100.6, 0.5, trace,
+            make_span("sweep.exec", 100.6, 0.5, trace,
                       attributes={"worker": "w2"}),
         ]
         document = to_chrome_trace(spans)
@@ -232,7 +204,7 @@ class TestChromeTraceExport:
         meta = [e for e in document["traceEvents"] if e["ph"] == "M"]
         assert [e["ts"] for e in events] == [0, 500000, 600000]
         assert events[0]["dur"] == 2000000
-        assert events[0]["cat"] == "fabric"
+        assert events[0]["cat"] == "sweep"
         assert {e["args"]["name"] for e in meta} == {"main", "w1", "w2"}
         # each distinct lane gets its own tid, shared pid
         assert len({e["tid"] for e in events}) == 3
@@ -241,35 +213,3 @@ class TestChromeTraceExport:
     def test_empty_input(self):
         assert to_chrome_trace([])["traceEvents"] == []
 
-
-class TestEventBus:
-    def test_publish_reaches_every_subscriber(self):
-        bus = EventBus()
-        a, b = bus.subscribe(), bus.subscribe()
-        assert bus.publish("progress", {"done": 1}) == 2
-        assert a.get_nowait() == ("progress", {"done": 1})
-        assert b.get_nowait() == ("progress", {"done": 1})
-
-    def test_slow_subscriber_drops_its_own_oldest(self):
-        bus = EventBus(capacity=2)
-        q = bus.subscribe()
-        for i in range(4):
-            bus.publish("n", i)
-        assert bus.dropped == 2
-        assert [q.get_nowait()[1] for _ in range(2)] == [2, 3]
-
-    def test_close_wakes_subscribers_with_sentinel(self):
-        bus = EventBus()
-        q = bus.subscribe()
-        bus.close()
-        assert q.get_nowait() is None
-        assert bus.publish("n", 1) == 0
-        # late subscribers learn of the shutdown immediately
-        assert bus.subscribe().get_nowait() is None
-
-    def test_unsubscribe(self):
-        bus = EventBus()
-        q = bus.subscribe()
-        bus.unsubscribe(q)
-        assert bus.subscribers == 0
-        bus.unsubscribe(q)  # double-unsubscribe is a no-op

@@ -71,7 +71,9 @@ class TestTraceCache:
     def test_cache_info_counts(self):
         runner.get_trace("tonto", 500)
         runner.get_trace("milc", 500)
-        assert runner.cache_info() == {"traces": 2, "runs": 0, "simulated": 0}
+        assert runner.cache_info() == {
+            "traces": 2, "runs": 0, "simulated": 0, "worker_simulated": 0,
+        }
 
     def test_simulated_counter(self):
         runner.run("tonto", "NP", accesses=500, use_store=False)

@@ -10,13 +10,10 @@ the full acceptance path:
 2. ``GET /metrics`` returns Prometheus text exposition that
    :func:`repro.obs.exporters.parse_exposition` accepts, containing the
    sweep job counters and the store read/write counters;
-3. ``GET /healthz`` answers ``status: ok`` and states the wire
-   ``protocol`` version and the ``obs`` span-plane block;
+3. ``GET /healthz`` answers ``status: ok`` and states the ``obs``
+   span-plane block;
 4. ``GET /progress.json`` reflects the finished sweep;
-5. ``GET /events`` on a live server delivers real SSE frames over the
-   socket — the ``hello`` handshake plus at least one ``progress`` and
-   one ``span`` event;
-6. ``repro obs trace export`` renders the sweep's span snapshot into
+5. ``repro obs trace export`` renders the sweep's span snapshot into
    Chrome trace-event JSON that passes a minimal Perfetto schema check
    (written under the store root, uploaded as a CI artifact).
 
@@ -45,55 +42,6 @@ def fetch(url: str) -> str:
         if response.status != 200:
             raise SystemExit(f"obs_smoke: GET {url} -> {response.status}")
         return response.read().decode("utf-8")
-
-
-def read_sse_frames(response, want: int):
-    """Parse ``want`` SSE frames off a live ``/events`` response."""
-    frames, kind, data = [], None, []
-    while len(frames) < want:
-        line = response.readline().decode("utf-8").rstrip("\n")
-        if line.startswith(":"):
-            continue  # keepalive comment
-        if line.startswith("event:"):
-            kind = line.split(":", 1)[1].strip()
-        elif line.startswith("data:"):
-            data.append(line.split(":", 1)[1].strip())
-        elif line == "" and (kind or data):
-            frames.append((kind, json.loads("\n".join(data))))
-            kind, data = None, []
-    return frames
-
-
-def check_sse(root: str) -> None:
-    """Consume real SSE events from a live server over the socket."""
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.progress import SweepProgress
-    from repro.obs.server import ObsServer
-    from repro.obs.spans import SpanCollector
-
-    progress = SweepProgress(total=2)
-    collector = SpanCollector(enabled=True)
-    server = ObsServer(
-        registry=MetricsRegistry(enabled=True),
-        progress=progress, spans=collector,
-    ).start()
-    try:
-        response = urllib.request.urlopen(server.url + "/events", timeout=10)
-        try:
-            (hello_kind, hello), = read_sse_frames(response, 1)
-            if hello_kind != "hello" or hello.get("progress", {}).get("total") != 2:
-                raise SystemExit(f"obs_smoke: bad SSE hello: {hello}")
-            progress.job_done("serial", seconds=0.1)
-            collector.add("sweep.job", 1.0, 0.1, benchmark="milc")
-            frames = dict(read_sse_frames(response, 2))
-            if frames.get("progress", {}).get("done") != 1:
-                raise SystemExit(f"obs_smoke: bad SSE progress: {frames}")
-            if frames.get("span", {}).get("name") != "sweep.job":
-                raise SystemExit(f"obs_smoke: bad SSE span: {frames}")
-        finally:
-            response.close()
-    finally:
-        server.close()
 
 
 def check_trace_export(root: str, repro_main) -> str:
@@ -181,8 +129,6 @@ def main(argv=None) -> int:
         health = json.loads(fetch(server.url + "/healthz"))
         if health.get("status") != "ok":
             raise SystemExit(f"obs_smoke: /healthz said {health}")
-        if not isinstance(health.get("protocol"), int):
-            raise SystemExit(f"obs_smoke: /healthz lacks protocol: {health}")
         if health.get("obs", {}).get("spans") not in ("enabled", "disabled"):
             raise SystemExit(f"obs_smoke: /healthz lacks obs block: {health}")
 
@@ -192,7 +138,6 @@ def main(argv=None) -> int:
     finally:
         server.close()
 
-    check_sse(root)
     trace_path = check_trace_export(root, repro_main)
 
     print(f"obs_smoke: OK ({len(parsed)} samples, snapshot {snapshot_path}, "
