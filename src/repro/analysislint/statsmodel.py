@@ -7,14 +7,16 @@ to the registry and parity rules:
   (including locally aliased bound methods, ``bump = self.stats.bump``);
 * through the hot-path raw mapping — ``values["key"] += 1`` where
   ``values`` aliases ``self._stat_values = self.stats.raw()``;
-* with dynamic keys — f-strings (``f"pb_hits_{cmd.provenance.value}"``)
-  and precomputed tables (``values[k_sum] += latency``).
+* with dynamic keys — f-strings (``f"pb_hits_{cmd.provenance.value}"``),
+  module-level key tables (``values[_PB_HIT_KEYS[cmd.provenance]]``)
+  and other precomputed names (``values[k_sum] += latency``).
 
 This module resolves those shapes per file into :class:`KeyUse`
 records.  F-string keys whose every placeholder ranges over the
 :class:`~repro.common.types.Provenance` enum are expanded into the full
-literal key set; other f-strings contribute their literal head as a
-*prefix*.  Keys the AST cannot bound at all are ``dynamic`` and must be
+literal key set, and so is a subscript of a module-level dict whose
+values are all such keys (a dict display or comprehension); other
+f-strings contribute their literal head as a *prefix*.  Keys the AST cannot bound at all are ``dynamic`` and must be
 waived with ``# lint: stats-dynamic``, usually next to a
 ``# lint: stat-prefixes(...)`` pragma declaring what they produce.
 """
@@ -88,9 +90,20 @@ class _FileScan(ast.NodeVisitor):
         self._local_stats: Set[str] = set()
         self._local_raw: Set[str] = set()
         self._local_methods: Dict[str, str] = {}  # name -> bump|set
+        # module-level dicts whose values are all literal keys
+        self.key_tables: Dict[str, Tuple[str, ...]] = {}
 
     # -- pre-pass -----------------------------------------------------
     def prescan(self) -> None:
+        for node in self.sf.tree.body:
+            if (
+                isinstance(node, ast.Assign)
+                and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+            ):
+                keys = self._table_keys(node.value)
+                if keys:
+                    self.key_tables[node.targets[0].id] = keys
         for node in ast.walk(self.sf.tree):
             if not isinstance(node, ast.Assign) or len(node.targets) != 1:
                 continue
@@ -101,6 +114,23 @@ class _FileScan(ast.NodeVisitor):
                 self.stats_attrs.add(target.attr)
             elif self._is_raw_call(node.value):
                 self.raw_attrs.add(target.attr)
+
+    def _table_keys(self, node: ast.AST) -> Tuple[str, ...]:
+        """Every key a dict display/comprehension maps to, when all of
+        its values are literal keys; empty otherwise."""
+        if isinstance(node, ast.DictComp):
+            values = [node.value]
+        elif isinstance(node, ast.Dict) and node.values:
+            values = node.values
+        else:
+            return ()
+        keys: List[str] = []
+        for value in values:
+            kind, value_keys, _ = self._classify_key(value)
+            if kind != "literal":
+                return ()
+            keys.extend(value_keys)
+        return tuple(keys)
 
     @staticmethod
     def _is_stats_ctor(node: ast.AST) -> bool:
@@ -238,6 +268,12 @@ class _FileScan(ast.NodeVisitor):
                 return "literal", tuple(arms), None
         if isinstance(node, ast.JoinedStr):
             return self._classify_fstring(node)
+        if (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in self.key_tables
+        ):
+            return "literal", self.key_tables[node.value.id], None
         return "dynamic", (), None
 
     def _classify_fstring(

@@ -53,6 +53,9 @@ class Cache:
         self._dirty: List[Dict[int, bool]] = [dict() for _ in range(self.num_sets)]
         # reverse map per set: line -> way (fast lookup)
         self._where: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
+        # ways fill in order 0, 1, 2, ... so until an invalidation
+        # leaves a hole, a non-full set's lowest free way is len(lines)
+        self._holes = False
         self.stats = Stats()
         # hot path: lookup/fill add straight into the underlying
         # counter mapping (see Stats.raw)
@@ -99,7 +102,10 @@ class Cache:
         dirty_map = self._dirty[s]
         if len(lines) < self.assoc:
             # take the lowest-numbered free way
-            way = next(w for w in range(self.assoc) if w not in lines)
+            if self._holes:
+                way = next(w for w in range(self.assoc) if w not in lines)
+            else:
+                way = len(lines)
             evicted = None
         else:
             way = self.policy.victim(s)
@@ -124,6 +130,7 @@ class Cache:
             return False
         del self._lines[s][way]
         self._dirty[s].pop(way, None)
+        self._holes = True
         self.stats.bump("invalidations")
         return True
 

@@ -115,9 +115,17 @@ class CacheHierarchy:
         ``to_l1=True``; L2-destined prefetches stop at L2.
         """
         writebacks: List[int] = []
-        self._fill_l2(line, False, writebacks)
+        # _fill_l2 then _fill_l1, inlined: this runs on every read
+        # completion
+        ev = self.l2.fill(line, False)
+        if ev is not None:
+            ev = self.l3.fill(ev.line, ev.dirty)
+            if ev is not None and ev.dirty:
+                writebacks.append(ev.line)
         if to_l1:
-            self._fill_l1(line, False, writebacks)
+            ev = self.l1.fill(line, False)
+            if ev is not None and ev.dirty:
+                self._fill_l2(ev.line, True, writebacks)
         return writebacks
 
     # ------------------------------------------------------------------

@@ -47,6 +47,12 @@ class LRUPolicy(ReplacementPolicy):
         stack.remove(way)
         stack.append(way)
 
+    # a fill is a touch; defined again to save a call on every fill
+    def fill(self, set_index: int, way: int) -> None:
+        stack = self._stacks[set_index]
+        stack.remove(way)
+        stack.append(way)
+
     def victim(self, set_index: int) -> int:
         return self._stacks[set_index][0]
 

@@ -88,7 +88,7 @@ class MemoryCommand:
     thread: int = 0
     provenance: Provenance = Provenance.DEMAND
     arrival: int = 0
-    uid: int = field(default_factory=lambda: next(_command_ids))
+    uid: int = field(default_factory=_command_ids.__next__)
 
     @property
     def is_read(self) -> bool:

@@ -25,12 +25,12 @@ from typing import Callable, List, Optional, Set, Tuple
 
 from repro.common.config import ControllerConfig
 from repro.common.stats import Stats
-from repro.common.types import MemoryCommand, Provenance
+from repro.common.types import CommandKind, MemoryCommand, Provenance
 from repro.controller.queues import CommandQueue, ReorderQueues
 from repro.controller.schedulers import build_scheduler
 from repro.controller.schedulers.base import Scheduler
 from repro.dram.device import DRAMDevice
-from repro.prefetch.adaptive_scheduling import SchedulerView
+from repro.prefetch.adaptive_scheduling import lpq_may_issue
 from repro.prefetch.memory_side import MemorySidePrefetcher
 from repro.telemetry.events import QueueDepthSample
 from repro.telemetry.tracer import NULL_TRACER, Tracer
@@ -42,17 +42,24 @@ ReadCallback = Callable[[MemoryCommand, int], None]
 QUEUE_SAMPLE_INTERVAL = 256
 
 #: Per-provenance latency counter names, precomputed so completion
-#: delivery (one of the hottest paths) never builds f-strings.
+#: delivery (one of the hottest paths) never builds strings.  The
+#: histogram entry is indexed by ``latency.bit_length()``: bucket b
+#: counts latencies in [2^b, 2^(b+1)), and bucket 0 also holds
+#: 0-cycle responses, so indices 0 and 1 both name bucket 0.
 # lint: stat-prefixes(lat_sum_, lat_cnt_, lat_max_, lat_hist_)
 _LAT_KEYS = {
     prov: (
         f"lat_sum_{prov.value}",
         f"lat_cnt_{prov.value}",
         f"lat_max_{prov.value}",
-        f"lat_hist_{prov.value}_",
+        tuple(f"lat_hist_{prov.value}_{max(b - 1, 0)}" for b in range(65)),
     )
     for prov in Provenance
 }
+
+#: Per-provenance Prefetch Buffer hit and merge counter names.
+_PB_HIT_KEYS = {prov: f"pb_hits_{prov.value}" for prov in Provenance}
+_PB_MERGE_KEYS = {prov: f"pb_merges_{prov.value}" for prov in Provenance}
 
 
 class MemoryController:
@@ -96,6 +103,12 @@ class MemoryController:
         self._wq_items = self.queues.writes._items
         self._caq_items = self.caq._items
         self._lpq_items = self.ms.lpq._queue
+        # the MS block's tick only expires Stream Filter slots and keeps
+        # telemetry clocks; both conditions are fixed at construction
+        # (Tracer.enabled is read-only), so skip the call when neither
+        # holds
+        self._tick_ms = prefetcher._tick_engine or prefetcher.tracer.enabled
+        self._pb_hit_delay = config.pb_hit_latency_mc + config.overhead_mc_cycles
 
     # ------------------------------------------------------------------
     # command entry
@@ -129,7 +142,7 @@ class MemoryController:
         cmd.arrival = now
         values["writes_arrived"] += 1
         self.ms.observe_write(cmd)
-        self.queues.writes.push(cmd)
+        self._wq_items.append(cmd)
         self._pending_write_lines[cmd.line] += 1
         return True
 
@@ -141,7 +154,8 @@ class MemoryController:
         completions = self._completions
         if completions and completions[0][0] <= now:
             self._deliver_completions(now)
-        self.ms.tick(now * self.cpu_ratio, now)
+        if self._tick_ms:
+            self.ms.tick(now * self.cpu_ratio, now)
         if self._caq_items or self._lpq_items:
             self._final_scheduler(now)
         if self._rq_items or self._wq_items:
@@ -210,22 +224,14 @@ class MemoryController:
         """
         end = start + cycles - 1
         self._now = end
-        self.ms.tick(end * self.cpu_ratio, end)
-        if self._rq_items or self._wq_items:
+        if self._tick_ms:
+            self.ms.tick(end * self.cpu_ratio, end)
+        if self._rq_items and self.ms.enabled:
             # CAQ-full wait: _reorder_to_caq still probes the oldest
             # read for a prefetch-held bank every cycle.  The hold is
             # monotone (held_until is frozen mid-wait), so the first
             # window cycle decides the whole window.
-            head_read = self.queues.reads.head()
-            if (
-                self.ms.enabled
-                and head_read is not None
-                and head_read.uid not in self._conflict_counted
-                and self.dram.bank_holder(head_read.line, start)
-                is Provenance.MS_PREFETCH
-            ):
-                self._conflict_counted.add(head_read.uid)
-                self.ms.scheduler.record_conflict()
+            self._note_held_read(start)
         values = self._stat_values
         values["ticks"] += cycles
         values["occ_read_queue"] += len(self._rq_items) * cycles
@@ -259,34 +265,15 @@ class MemoryController:
           accounting (see :meth:`note_wait_refusal`).
         """
         caq_items = self._caq_items
-        caq_head = caq_items[0] if caq_items else None
-        ms = self.ms
         lpq_items = self._lpq_items
-        lpq_head = lpq_items[0] if lpq_items else None
-        if caq_head is None and lpq_head is None:
+        if not (caq_items or lpq_items):
             return None, None
-        if caq_head is not None and caq_head.is_read and ms.would_serve(
-            caq_head.line
-        ):
-            return -1, None
-        use_lpq = False
-        if ms.enabled and lpq_head is not None:
-            # The policy predicates, inlined on the wait-path facts:
-            # reorder_has_issuable (policy 2) is only read with an
-            # empty CAQ, and the caller guarantees the reorder queues
-            # are empty whenever the CAQ is — so with an empty CAQ
-            # every policy (1's reorder_empty included) allows the LPQ
-            # head (``allows_lpq`` on the equivalent SchedulerView
-            # agrees; the golden equality test pins this).
-            caq_len = len(caq_items)
-            policy = ms.scheduler.policy
-            if caq_len == 0:
-                use_lpq = True
-            elif policy == 4:
-                use_lpq = caq_len <= 1 and len(lpq_items) >= ms.lpq.depth
-            elif policy == 5:
-                use_lpq = lpq_head.arrival < caq_head.arrival
-        cmd = lpq_head if use_lpq else caq_head
+        ms = self.ms
+        if caq_items:
+            caq_head = caq_items[0]
+            if caq_head.is_read and ms.would_serve(caq_head.line):
+                return -1, None
+        cmd = self._final_choice(caq_items, lpq_items)
         if cmd is None:
             return None, None
         return self.dram.earliest_issue_cycle(cmd), cmd
@@ -312,19 +299,18 @@ class MemoryController:
         completions = self._completions
         values = self._stat_values
         while completions and completions[0][0] <= now:
-            _, _, cmd = heapq.heappop(completions)
-            if cmd.is_ms_prefetch:
+            cmd = heapq.heappop(completions)[2]
+            provenance = cmd.provenance
+            if provenance is Provenance.MS_PREFETCH:
                 self.ms.notify_complete(cmd)
-            elif cmd.is_read:
+            elif cmd.kind is CommandKind.READ:
                 latency = now - cmd.arrival
-                k_sum, k_cnt, k_max, k_hist = _LAT_KEYS[cmd.provenance]
+                k_sum, k_cnt, k_max, k_hist = _LAT_KEYS[provenance]
                 values[k_sum] += latency  # lint: stats-dynamic
                 values[k_cnt] += 1  # lint: stats-dynamic
                 if latency > values.get(k_max, 0):
                     values[k_max] = latency  # lint: stats-dynamic
-                # log2-bucketed histogram: bucket b counts latencies in
-                # [2^b, 2^(b+1)); bucket 0 holds 0- and 1-cycle responses
-                values[k_hist + str(max(latency, 1).bit_length() - 1)] += 1  # lint: stats-dynamic
+                values[k_hist[latency.bit_length()]] += 1  # lint: stats-dynamic
                 if self.on_read_complete is not None:
                     self.on_read_complete(cmd, now)
 
@@ -340,85 +326,54 @@ class MemoryController:
     def _final_scheduler(self, now: int) -> None:
         ms = self.ms
         caq_items = self._caq_items
+        values = self._stat_values
         # Second Prefetch Buffer check: the head of the CAQ may have been
         # covered by a prefetch that completed while it sat in the queue.
-        while caq_items:
+        # (A disabled MS block never hits or merges.)
+        while caq_items and ms.enabled:
             head = caq_items[0]
             if not head.is_read:
                 break
             if ms.read_lookup(head.line):
-                self.caq.pop()
-                self.stats.bump("pb_hits_caq")
-                self.stats.bump(f"pb_hits_{head.provenance.value}")
-                self._respond_at(
-                    head,
-                    now
-                    + self.config.pb_hit_latency_mc
-                    + self.config.overhead_mc_cycles,
-                )
+                caq_items.popleft()
+                values["pb_hits_caq"] += 1
+                values[_PB_HIT_KEYS[head.provenance]] += 1
+                self._delayed_counted.discard(head.uid)
+                self._respond_at(head, now + self._pb_hit_delay)
             elif ms.try_merge(head):
-                self.caq.pop()
-                self.stats.bump("pb_merges_caq")
-                self.stats.bump(f"pb_merges_{head.provenance.value}")
+                caq_items.popleft()
+                values["pb_merges_caq"] += 1
+                values[_PB_MERGE_KEYS[head.provenance]] += 1
+                self._delayed_counted.discard(head.uid)
             else:
                 break
 
-        lpq = ms.lpq
-        caq_head = caq_items[0] if caq_items else None
         lpq_items = self._lpq_items
-        lpq_head = lpq_items[0] if lpq_items else None
-        if caq_head is None and lpq_head is None:
-            return
-
-        use_lpq = False
-        if ms.enabled and lpq_head is not None:
-            scheduler = ms.scheduler
-            caq_len = len(caq_items)
-            # reorder_has_issuable is only read by policy 2, and only
-            # when the CAQ is empty — has_issuable scans every reorder
-            # candidate against DRAM timing, so compute it lazily
-            has_issuable = False
-            if caq_len == 0 and scheduler.policy == 2:
-                drain = (
-                    len(self.queues.writes)
-                    >= self.config.write_drain_threshold
-                )
-                has_issuable = Scheduler.has_issuable(
-                    self.queues.candidates(drain), self.dram, now
-                )
-            view = SchedulerView(
-                caq_len=caq_len,
-                caq_head_arrival=caq_head.arrival if caq_head else None,
-                reorder_empty=not (self._rq_items or self._wq_items),
-                reorder_has_issuable=has_issuable,
-                lpq_len=len(lpq_items),
-                lpq_full=len(lpq_items) >= lpq.depth,
-                lpq_head_arrival=lpq_head.arrival,
-            )
-            use_lpq = scheduler.allows_lpq(view)
-
-        source = lpq if use_lpq else self.caq
-        cmd = source.head()
+        cmd = self._final_choice(caq_items, lpq_items)
         if cmd is None:
             return
         result = self.dram.try_issue(cmd, now)
         if result.accepted:
-            source.pop()
+            # the LPQ holds only memory-side prefetches, the CAQ none
+            from_lpq = cmd.is_ms_prefetch
+            if from_lpq:
+                ms.lpq.pop()
+            else:
+                caq_items.popleft()
             self.scheduler.notify_issue(cmd, self.dram)
             self._respond_at(cmd, result.completion + self.config.overhead_mc_cycles)
+            if from_lpq:
+                ms.notify_issue(cmd)
+                values["issued_prefetch"] += 1
+                return
             if cmd.is_write:
                 count = self._pending_write_lines.get(cmd.line, 0)
                 if count <= 1:
                     self._pending_write_lines.pop(cmd.line, None)
                 else:
                     self._pending_write_lines[cmd.line] = count - 1
-            if cmd.is_ms_prefetch:
-                self.ms.notify_issue(cmd)
-                self._stat_values["issued_prefetch"] += 1
-            else:
-                self._stat_values["issued_regular"] += 1
-                self._delayed_counted.discard(cmd.uid)
-                self._conflict_counted.discard(cmd.uid)
+            values["issued_regular"] += 1
+            self._delayed_counted.discard(cmd.uid)
         elif (
             result.blocked_by is Provenance.MS_PREFETCH
             and not cmd.is_ms_prefetch
@@ -426,58 +381,100 @@ class MemoryController:
         ):
             # Figure 13: a regular command delayed by a memory-side prefetch.
             self._delayed_counted.add(cmd.uid)
-            self.stats.bump("delayed_regular")
+            values["delayed_regular"] += 1
+
+    def _final_choice(self, caq_items, lpq_items) -> Optional[MemoryCommand]:
+        """The CAQ or LPQ head the Final Scheduler offers DRAM, if any."""
+        if not lpq_items:
+            return caq_items[0] if caq_items else None
+        ms = self.ms
+        if caq_items:
+            caq_len = len(caq_items)
+            caq_head = caq_items[0]
+            caq_head_arrival = caq_head.arrival
+        else:
+            caq_len = 0
+            caq_head = caq_head_arrival = None
+        lpq_head = lpq_items[0]
+        if ms.enabled and lpq_may_issue(
+            ms.scheduler.policy,
+            caq_len,
+            caq_head_arrival,
+            len(lpq_items),
+            ms.lpq.depth,
+            lpq_head.arrival,
+            not (self._rq_items or self._wq_items),
+            self._reorder_has_issuable,
+        ):
+            return lpq_head
+        return caq_head
+
+    def _reorder_has_issuable(self) -> bool:
+        """Adaptive Scheduling policy 2's reorder-queue predicate."""
+        drain = len(self._wq_items) >= self.config.write_drain_threshold
+        return Scheduler.has_issuable(
+            self.queues.candidates(drain), self.dram, self._now
+        )
 
     # -- reorder queues -> CAQ -------------------------------------------
-    def _reorder_to_caq(self, now: int) -> None:
-        if not (self._rq_items or self._wq_items):
-            return
-
-        # Adaptive Scheduling feedback: the oldest read being held off the
-        # CAQ by a bank occupied by an in-flight prefetch is a conflict.
-        head_read = self.queues.reads.head()
+    def _note_held_read(self, now: int) -> None:
+        """Adaptive Scheduling feedback: the oldest read being held off
+        the CAQ by a bank occupied by an in-flight prefetch is a
+        conflict, counted once per read while it sits in the reorder
+        queue."""
+        head_read = self._rq_items[0]
         if (
-            self.ms.enabled
-            and head_read is not None
-            and head_read.uid not in self._conflict_counted
+            head_read.uid not in self._conflict_counted
             and self.dram.bank_holder(head_read.line, now) is Provenance.MS_PREFETCH
         ):
             self._conflict_counted.add(head_read.uid)
             self.ms.scheduler.record_conflict()
 
-        if self.caq.full:
+    def _reorder_to_caq(self, now: int) -> None:
+        rq_items = self._rq_items
+        wq_items = self._wq_items
+        ms = self.ms
+        if rq_items:
+            if ms.enabled:
+                self._note_held_read(now)
+        elif not wq_items:
             return
-        drain = len(self.queues.writes) >= self.config.write_drain_threshold
-        candidates = self.queues.candidates(drain)
-        cmd = self.scheduler.select(candidates, self.dram, now)
+
+        caq_items = self._caq_items
+        if len(caq_items) >= self.caq.depth:
+            return
+        drain = len(wq_items) >= self.config.write_drain_threshold
+        cmd = self.scheduler.select(self.queues.candidates(drain), self.dram, now)
         if cmd is None:
             return
-        self.queues.remove(cmd)
-        if cmd.is_read:
-            if self._pending_write_lines.get(cmd.line, 0) > 0:
-                # read-after-write hazard: the freshest data for this
-                # line sits in the write queue — forward it
-                self.stats.bump("raw_forwards")
-                self._respond_at(
-                    cmd, now + self.config.overhead_mc_cycles
-                )
-                return
-            if self.ms.read_lookup(cmd.line):
-                # First Prefetch Buffer check: serve the read without DRAM.
-                self.stats.bump("pb_hits_pre_caq")
-                self.stats.bump(f"pb_hits_{cmd.provenance.value}")
-                self._respond_at(
-                    cmd,
-                    now
-                    + self.config.pb_hit_latency_mc
-                    + self.config.overhead_mc_cycles,
-                )
-                return
-            if self.ms.try_merge(cmd):
-                self.stats.bump("pb_merges_pre_caq")
-                self.stats.bump(f"pb_merges_{cmd.provenance.value}")
-                return
-        self.caq.push(cmd)
+        if cmd.is_write:
+            wq_items.remove(cmd)
+            caq_items.append(cmd)
+            return
+        rq_items.remove(cmd)
+        # the read leaves the reorder queue, so its conflict mark retires
+        self._conflict_counted.discard(cmd.uid)
+        values = self._stat_values
+        if cmd.line in self._pending_write_lines:
+            # read-after-write hazard: the freshest data for this
+            # line sits in the write queue — forward it
+            values["raw_forwards"] += 1
+            self._respond_at(cmd, now + self.config.overhead_mc_cycles)
+            return
+        if not ms.enabled:
+            caq_items.append(cmd)
+            return
+        if ms.read_lookup(cmd.line):
+            # First Prefetch Buffer check: serve the read without DRAM.
+            values["pb_hits_pre_caq"] += 1
+            values[_PB_HIT_KEYS[cmd.provenance]] += 1
+            self._respond_at(cmd, now + self._pb_hit_delay)
+            return
+        if ms.try_merge(cmd):
+            values["pb_merges_pre_caq"] += 1
+            values[_PB_MERGE_KEYS[cmd.provenance]] += 1
+            return
+        caq_items.append(cmd)
 
     # ------------------------------------------------------------------
     # queries

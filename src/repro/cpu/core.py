@@ -124,8 +124,13 @@ class Core:
         return sum(len(ctx.outstanding) for ctx in self.contexts)
 
     def tick(self, now: int) -> None:
+        budget = self.budget_per_thread
         for ctx in self.contexts:
-            self._run_thread(ctx, self.budget_per_thread, now)
+            if ctx.blocked_mem:
+                # _run_thread's first step, without the call
+                self._stat_values["stall_cycles_mem"] += budget
+            else:
+                self._run_thread(ctx, budget, now)
 
     # ------------------------------------------------------------------
     def _run_thread(self, ctx: _ThreadContext, budget: int, now: int) -> None:
@@ -191,7 +196,8 @@ class Core:
         ctx.pending = None
 
         result = self.hierarchy.access(line, is_write)
-        ctx.writebacks.extend(result.writebacks)
+        if result.writebacks:
+            ctx.writebacks.extend(result.writebacks)
 
         miss_to_memory = result.level is Level.MEMORY
         if miss_to_memory and not is_write:
@@ -220,7 +226,7 @@ class Core:
             return False
         self._waiters.setdefault(cmd.line, []).append(ctx)
         ctx.outstanding.add(cmd.line)
-        self.stats.bump("demand_issued")
+        self._stat_values["demand_issued"] += 1
         if len(ctx.outstanding) >= self.config.mlp:
             ctx.blocked_mem = True
         return True
@@ -248,7 +254,7 @@ class Core:
             )
             if self.controller.enqueue(cmd, now):
                 self._ps_inflight[req.line] = req.to_l1
-                self.stats.bump("ps_issued")
+                self._stat_values["ps_issued"] += 1
             else:
                 self.stats.bump("ps_dropped_queue")
                 if self.tracer.enabled:
@@ -265,10 +271,10 @@ class Core:
             to_l1 = self._ps_inflight.pop(line, True)
             writebacks = self.hierarchy.fill_from_memory(line, to_l1=to_l1)
             self.ps.notify_fill(line, to_l1)
-            self.stats.bump("ps_fills")
+            self._stat_values["ps_fills"] += 1
         else:
             writebacks = self.hierarchy.fill_from_memory(line, to_l1=True)
-            self.stats.bump("demand_fills")
+            self._stat_values["demand_fills"] += 1
         if writebacks:
             self.contexts[cmd.thread].writebacks.extend(writebacks)
         for ctx in self._waiters.pop(line, ()):

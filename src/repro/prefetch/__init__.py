@@ -17,10 +17,7 @@
   stream prefetcher (the paper's PS configuration).
 """
 
-from repro.prefetch.adaptive_scheduling import (
-    AdaptiveScheduler,
-    SchedulerView,
-)
+from repro.prefetch.adaptive_scheduling import AdaptiveScheduler, lpq_may_issue
 from repro.prefetch.lpq import LowPriorityQueue
 from repro.prefetch.memory_side import MemorySidePrefetcher
 from repro.prefetch.prefetch_buffer import PrefetchBuffer
@@ -36,8 +33,8 @@ __all__ = [
     "PrefetchBuffer",
     "ProcessorSidePrefetcher",
     "PSRequest",
-    "SchedulerView",
     "StreamFilter",
     "StreamObservation",
+    "lpq_may_issue",
     "slh_bars",
 ]

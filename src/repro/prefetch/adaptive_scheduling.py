@@ -19,8 +19,7 @@ policy toward conservative (on many conflicts) or aggressive (on few).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.common.config import AdaptiveSchedulingConfig
 from repro.common.stats import Stats
@@ -28,54 +27,39 @@ from repro.telemetry.events import PolicyChange
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 
-@dataclass(slots=True)
-class SchedulerView:
-    """Snapshot of queue state the policy predicates look at.
+def lpq_may_issue(
+    policy: int,
+    caq_len: int,
+    caq_head_arrival: Optional[int],
+    lpq_len: int,
+    lpq_depth: int,
+    lpq_head_arrival: int,
+    reorder_empty: bool,
+    reorder_has_issuable: Callable[[], bool],
+) -> bool:
+    """May the LPQ head issue instead of the CAQ head under ``policy``?
 
-    Slotted: the Final Scheduler builds one per cycle whenever the LPQ
-    holds a command.
+    The one encoding of the five policies, called by the Final
+    Scheduler every cycle the LPQ holds a command and by the
+    event-driven loop's wait detection.  Arrivals are MC-cycle
+    timestamps; ``caq_head_arrival`` is only read when the CAQ is
+    occupied.  ``reorder_has_issuable`` scans every reorder candidate
+    against DRAM timing, so it is a callable that only policy 2 calls,
+    and only when the CAQ is empty and the reorder queues are not.
     """
-
-    caq_len: int
-    caq_head_arrival: Optional[int]
-    reorder_empty: bool
-    reorder_has_issuable: bool
-    lpq_len: int
-    lpq_full: bool
-    lpq_head_arrival: Optional[int]
-
-
-def _policy1(v: SchedulerView) -> bool:
-    return v.caq_len == 0 and v.reorder_empty
-
-
-def _policy2(v: SchedulerView) -> bool:
-    return v.caq_len == 0 and not v.reorder_has_issuable
-
-
-def _policy3(v: SchedulerView) -> bool:
-    return v.caq_len == 0
-
-
-def _policy4(v: SchedulerView) -> bool:
-    return _policy3(v) or (v.caq_len <= 1 and v.lpq_full)
-
-
-def _policy5(v: SchedulerView) -> bool:
-    if v.caq_len == 0:
-        return True
-    if v.lpq_head_arrival is None or v.caq_head_arrival is None:
+    if lpq_len == 0:
         return False
-    return v.lpq_head_arrival < v.caq_head_arrival
-
-
-POLICIES: Dict[int, Callable[[SchedulerView], bool]] = {
-    1: _policy1,
-    2: _policy2,
-    3: _policy3,
-    4: _policy4,
-    5: _policy5,
-}
+    if caq_len == 0:
+        if policy == 1:
+            return reorder_empty
+        if policy == 2:
+            return reorder_empty or not reorder_has_issuable()
+        return True
+    if policy == 4:
+        return caq_len == 1 and lpq_len >= lpq_depth
+    if policy == 5:
+        return lpq_head_arrival < caq_head_arrival
+    return False
 
 
 class AdaptiveScheduler:
@@ -103,13 +87,6 @@ class AdaptiveScheduler:
             self.policy = config.initial_policy
         self.conflicts_this_epoch = 0
         self.stats = Stats()
-
-    # ------------------------------------------------------------------
-    def allows_lpq(self, view: SchedulerView) -> bool:
-        """May the LPQ head issue this cycle under the active policy?"""
-        if view.lpq_len == 0:
-            return False
-        return POLICIES[self.policy](view)
 
     # ------------------------------------------------------------------
     def record_conflict(self, count: int = 1) -> None:

@@ -184,6 +184,8 @@ class System:
         core = self.core
         controller_tick = controller.tick
         core_tick = core.tick
+        bulk_tick = controller.bulk_tick
+        consume_wait = core.consume_wait
         # dense-phase gate, inlined: while commands flow reorder->CAQ
         # the machine acts every cycle, so wait detection is skipped on
         # one deque truth-test and one length compare
@@ -191,43 +193,62 @@ class System:
         wq_items = controller._wq_items
         caq_items = controller._caq_items
         caq_depth = controller.caq.depth
-        ticks = 0
-        while not (core.done and controller.idle()):
-            now = self.now
-            controller_tick(now)
-            core_tick(now)
-            ticks += 1
-            self.now = now + 1
-            if now >= max_cycles:
-                raise self._cap_exceeded(ticks, max_cycles)
-            if (rq_items or wq_items) and len(caq_items) < caq_depth:
-                continue
-            skip, refused = self._deterministic_wait(max_cycles)
-            if skip > 0:
-                self._fast_forward(skip, refused)
-                if self.now > max_cycles:
+        ticks = jumps = skipped = 0
+        try:
+            while not (core.done and controller.idle()):
+                now = self.now
+                controller_tick(now)
+                core_tick(now)
+                ticks += 1
+                now += 1
+                self.now = now
+                if now > max_cycles:
+                    raise self._cap_exceeded(ticks, max_cycles)
+                if (rq_items or wq_items) and len(caq_items) < caq_depth:
+                    continue
+                skip, refused = self._deterministic_wait(now, max_cycles)
+                if not skip:
+                    continue
+                # jump the inert cycles, applying their accounting in bulk
+                bulk_tick(now, skip)
+                if refused is not None:
+                    # a per-cycle loop would have probed DRAM each wait
+                    # cycle: lazily applying refresh deadlines along the
+                    # way, and counting the head as MS-delayed on the
+                    # first refusal
+                    controller.note_wait_refusal(refused, now)
+                    self.dram.catch_up_refreshes(now + skip - 1)
+                consume_wait(skip)
+                self.now = now + skip
+                jumps += 1
+                skipped += skip
+                if now + skip > max_cycles:
                     # a wait extended past the cap: fail exactly as
                     # the per-cycle loop would after ticking there
                     raise self._cap_exceeded(ticks, max_cycles)
-        self.loop_stats["ticks_executed"] = ticks
+        finally:
+            stats = self.loop_stats
+            stats["ticks_executed"] = ticks
+            stats["jumps"] = jumps
+            stats["cycles_skipped"] = skipped
         return self._collect()
 
     # ------------------------------------------------------------------
     # event-driven fast-forward
     # ------------------------------------------------------------------
-    def _deterministic_wait(self, max_cycles: int) -> Tuple[int, object]:  # lint: no-integral
-        # (pure query: shadows `now` locally, never advances the clock)
-        """How many upcoming cycles are provably inert, if any.
+    def _deterministic_wait(self, now: int, max_cycles: int) -> Tuple[int, object]:
+        """How many cycles from ``now`` on are provably inert, if any.
 
         A cycle is *inert* when ticking through it would only advance
         time: the reorder->CAQ stage is frozen (reorder queues empty,
-        or the FIFO CAQ full so nothing may move), every thread is
-        blocked on memory or linearly burning stall/gap budget, no
-        completion is due, and any pending CAQ/LPQ head is refused by
-        DRAM bank/bus timing.  Returns ``(skip, refused)`` where
-        ``skip`` may be 0 (do not jump) and ``refused`` is the command
-        a per-cycle loop would have been retrying against DRAM each
-        wait cycle (None when the wait holds no such head).
+        or the FIFO CAQ full so nothing may move — the caller checks
+        this), every thread is blocked on memory or linearly burning
+        stall/gap budget, no completion is due, and any pending
+        CAQ/LPQ head is refused by DRAM bank/bus timing.  Returns
+        ``(skip, refused)`` where ``skip`` may be 0 (do not jump) and
+        ``refused`` is the command a per-cycle loop would have been
+        retrying against DRAM each wait cycle (None when the wait
+        holds no such head).
 
         The CAQ-full case is safe for the Adaptive Scheduling
         predicates: the reorder-dependent policies (1-3) all require an
@@ -236,18 +257,15 @@ class System:
         the window.
         """
         controller = self.controller
-        if (controller._rq_items or controller._wq_items) and len(
-            controller._caq_items
-        ) < controller.caq.depth:
-            return 0, None
-        horizon = self.core.linear_horizon()
-        if horizon == 0:
-            return 0, None
-        now = self.now
         bound: Optional[int] = None  # absolute cycle of the next event
         completions = controller._completions
         if completions:
             bound = completions[0][0]
+            if bound <= now:
+                return 0, None  # a completion is due next tick
+        horizon = self.core.linear_horizon()
+        if horizon == 0:
+            return 0, None
         sched_at, refused = controller.next_scheduler_event(now)
         if sched_at is not None:
             if sched_at <= now:
@@ -264,27 +282,10 @@ class System:
             # walk into the max_cycles guard loudly
             return 0, None
         skip = bound - now
-        if skip <= 0:
-            return 0, None
         cap = max_cycles + 1 - now
         if skip > cap:
             skip = cap  # never silently sail past the cycle guard
         return skip, refused
-
-    def _fast_forward(self, skip: int, refused) -> None:
-        """Jump ``skip`` inert cycles, applying their accounting in bulk."""
-        self.controller.bulk_tick(self.now, skip)
-        if refused is not None:
-            # a per-cycle loop would have probed DRAM each wait cycle:
-            # lazily applying refresh deadlines along the way, and
-            # counting the head as MS-delayed on the first refusal
-            self.controller.note_wait_refusal(refused, self.now)
-            self.dram.catch_up_refreshes(self.now + skip - 1)
-        self.core.consume_wait(skip)
-        self.now += skip
-        stats = self.loop_stats
-        stats["jumps"] += 1
-        stats["cycles_skipped"] += skip
 
     # ------------------------------------------------------------------
 

@@ -41,6 +41,7 @@ class Tracer:
                  "_overhead_s", "_published_counts", "_published_overhead_s")
 
     def __init__(self, enabled: bool = True) -> None:
+        #: fixed at construction: hot paths cache it (see __setattr__)
         self.enabled = enabled
         self._global_sinks: List[EventSink] = []
         self._kind_sinks: Dict[str, List[EventSink]] = defaultdict(list)
@@ -49,6 +50,13 @@ class Tracer:
         self._overhead_s = 0.0
         self._published_counts: Dict[str, int] = {}
         self._published_overhead_s = 0.0
+
+    def __setattr__(self, name: str, value: object) -> None:
+        # blocks decide at construction whether they have per-cycle
+        # telemetry work, so flipping `enabled` later would be ignored
+        if name == "enabled" and hasattr(self, "enabled"):
+            raise AttributeError("Tracer.enabled is read-only after construction")
+        object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------
     # subscription

@@ -61,6 +61,18 @@ def test_event_loop_matches_reference(bench, config_name, threads):
     )
 
 
+@pytest.mark.parametrize("threads", (1, 2))
+@pytest.mark.parametrize("config_name", CONFIGS)
+@pytest.mark.parametrize("bench", BENCHMARKS)
+def test_per_command_marks_retire_with_their_commands(bench, config_name, threads):
+    # the Adaptive Scheduling conflict marks and the Figure-13 delayed
+    # marks are per-command: a drained machine must hold none, whichever
+    # exit (issue, Prefetch Buffer hit, merge, RAW forward) a read took
+    system, _ = _run(config_name, _traces(bench, threads), "event")
+    assert not system.controller._conflict_counted
+    assert not system.controller._delayed_counted
+
+
 @pytest.mark.parametrize("loop", LOOP_MODES)
 def test_ticks_integral_covers_all_cycles(loop):
     # occupancy averages divide by mc.ticks: it must count every

@@ -2,14 +2,11 @@
 
 
 from repro.common.config import AdaptiveSchedulingConfig
-from repro.prefetch.adaptive_scheduling import (
-    POLICIES,
-    AdaptiveScheduler,
-    SchedulerView,
-)
+from repro.prefetch.adaptive_scheduling import AdaptiveScheduler, lpq_may_issue
 
 
-def view(
+def allows(
+    policy,
     caq_len=0,
     caq_head_arrival=None,
     reorder_empty=True,
@@ -18,63 +15,73 @@ def view(
     lpq_full=False,
     lpq_head_arrival=0,
 ):
-    return SchedulerView(
-        caq_len=caq_len,
-        caq_head_arrival=caq_head_arrival,
-        reorder_empty=reorder_empty,
-        reorder_has_issuable=reorder_has_issuable,
-        lpq_len=lpq_len,
-        lpq_full=lpq_full,
-        lpq_head_arrival=lpq_head_arrival,
+    """lpq_may_issue on one queue snapshot; an LPQ of depth 3."""
+    depth = 3
+    return lpq_may_issue(
+        policy,
+        caq_len,
+        caq_head_arrival,
+        depth if lpq_full else lpq_len,
+        depth,
+        lpq_head_arrival,
+        reorder_empty,
+        lambda: reorder_has_issuable,
     )
 
 
 class TestPolicies:
     def test_policy1_requires_everything_empty(self):
-        assert POLICIES[1](view())
-        assert not POLICIES[1](view(reorder_empty=False))
-        assert not POLICIES[1](view(caq_len=1))
+        assert allows(1)
+        assert not allows(1, reorder_empty=False)
+        assert not allows(1, caq_len=1, caq_head_arrival=5)
 
     def test_policy2_allows_unissuable_reorder_commands(self):
-        v = view(reorder_empty=False, reorder_has_issuable=False)
-        assert POLICIES[2](v)
-        assert not POLICIES[2](view(reorder_empty=False, reorder_has_issuable=True))
+        assert allows(2, reorder_empty=False, reorder_has_issuable=False)
+        assert not allows(2, reorder_empty=False, reorder_has_issuable=True)
 
     def test_policy3_only_needs_empty_caq(self):
-        assert POLICIES[3](view(reorder_empty=False, reorder_has_issuable=True))
-        assert not POLICIES[3](view(caq_len=1))
+        assert allows(3, reorder_empty=False, reorder_has_issuable=True)
+        assert not allows(3, caq_len=1, caq_head_arrival=5)
 
     def test_policy4_one_caq_entry_and_full_lpq(self):
-        v = view(caq_len=1, caq_head_arrival=5, lpq_full=True)
-        assert POLICIES[4](v)
-        assert not POLICIES[4](view(caq_len=1, caq_head_arrival=5, lpq_full=False))
-        assert not POLICIES[4](view(caq_len=2, caq_head_arrival=5, lpq_full=True))
+        assert allows(4, caq_len=1, caq_head_arrival=5, lpq_full=True)
+        assert not allows(4, caq_len=1, caq_head_arrival=5, lpq_full=False)
+        assert not allows(4, caq_len=2, caq_head_arrival=5, lpq_full=True)
 
     def test_policy5_timestamp_comparison(self):
-        older = view(caq_len=1, caq_head_arrival=10, lpq_head_arrival=5)
-        newer = view(caq_len=1, caq_head_arrival=3, lpq_head_arrival=5)
-        assert POLICIES[5](older)
-        assert not POLICIES[5](newer)
+        assert allows(5, caq_len=1, caq_head_arrival=10, lpq_head_arrival=5)
+        assert not allows(5, caq_len=1, caq_head_arrival=3, lpq_head_arrival=5)
 
     def test_policies_monotone_when_caq_empty(self):
         # with an empty CAQ and empty reorder queues, every policy allows
-        v = view()
-        assert all(POLICIES[k](v) for k in range(1, 6))
+        assert all(allows(k) for k in range(1, 6))
 
     def test_conservative_ordering_example(self):
         # a busy system: only the aggressive policies allow issue
-        v = view(
+        busy = dict(
             caq_len=1,
             caq_head_arrival=10,
             reorder_empty=False,
             reorder_has_issuable=True,
             lpq_head_arrival=1,
         )
-        assert not POLICIES[1](v)
-        assert not POLICIES[2](v)
-        assert not POLICIES[3](v)
-        assert not POLICIES[4](v)
-        assert POLICIES[5](v)
+        assert [allows(k, **busy) for k in range(1, 6)] == [
+            False, False, False, False, True
+        ]
+
+    def test_issuable_scan_only_runs_for_policy2(self):
+        # the reorder scan is costly: only policy 2 with an empty CAQ
+        # and occupied reorder queues may ask for it
+        calls = []
+
+        def scan():
+            calls.append(1)
+            return False
+
+        for policy in range(1, 6):
+            for caq_len, reorder_empty in ((0, True), (0, False), (1, False)):
+                lpq_may_issue(policy, caq_len, 5, 1, 3, 0, reorder_empty, scan)
+        assert len(calls) == 1
 
 
 class TestAdaptiveScheduler:
@@ -86,7 +93,8 @@ class TestAdaptiveScheduler:
 
     def test_empty_lpq_never_allows(self):
         s = self.make()
-        assert not s.allows_lpq(view(lpq_len=0))
+        assert not allows(s.policy, lpq_len=0)
+        assert not any(allows(k, lpq_len=0) for k in range(1, 6))
 
     def test_many_conflicts_step_conservative(self):
         s = self.make(raise_threshold=5, lower_threshold=1, initial_policy=3)

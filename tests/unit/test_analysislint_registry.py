@@ -37,6 +37,29 @@ class TestExtraction:
         model = build_registry(tree)
         assert model.keys == {f"pb_hits_{v}" for v in provenance_values()}
 
+    def test_module_key_tables_expand_to_exact_keys(self):
+        # a precomputed table keeps exact keys in the registry instead
+        # of widening it to a prefix
+        tree = mount_text(
+            "_HIT = {prov: f\"pb_hits_{prov.value}\" for prov in Provenance}\n"
+            "_SIDE = {True: \"hit_left\", False: \"hit_right\"}\n"
+            "class PB:\n"
+            "    def __init__(self):\n"
+            "        self.stats = Stats()\n"
+            "        self._values = self.stats.raw()\n"
+            "    def hit(self, cmd, left):\n"
+            "        self._values[_HIT[cmd.provenance]] += 1\n"
+            "        self.stats.bump(_SIDE[left])\n",
+            "src/repro/controller/pb.py",
+        )
+        model = build_registry(tree)
+        assert model.keys == {f"pb_hits_{v}" for v in provenance_values()} | {
+            "hit_left",
+            "hit_right",
+        }
+        assert not model.prefixes
+        assert DynamicKeyRule().check(tree) == []
+
     def test_render_is_deterministic_and_parseable(self, fixture_tree):
         model = build_registry(fixture_tree)
         text = render_registry(model)

@@ -1,5 +1,7 @@
 """Unit tests for repro.telemetry.tracer — the event bus contract."""
 
+import pytest
+
 from repro.telemetry.events import EpochBoundary, PrefetchIssued
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 
@@ -19,6 +21,12 @@ class TestDisabled:
         tracer = Tracer(enabled=False)
         tracer.emit(PrefetchIssued(t=1, line=2))
         assert tracer.total_events == 0
+
+    def test_enabled_is_read_only(self):
+        # hot paths cache the flag at construction
+        for tracer in (Tracer(enabled=True), NULL_TRACER):
+            with pytest.raises(AttributeError, match="read-only"):
+                tracer.enabled = not tracer.enabled
 
     def test_disabled_emit_accrues_no_overhead(self):
         tracer = Tracer(enabled=False)
