@@ -51,7 +51,6 @@ class LintConfig:
         "controller",
         "cpu",
         "dram",
-        "fastsim",
         "prefetch",
         "scenarios",
         "system",

@@ -12,8 +12,7 @@ Commands:
 * ``trace``     — trace tooling (docs/scenarios.md): ``trace generate``
   saves a synthetic trace, ``trace convert`` normalises an external
   trace (ChampSim-style text or ``addr,rw[,tid]`` CSV, gzipped or
-  plain) to the internal format, ``trace calibrate`` measures the fast
-  model's error bars on a converted trace
+  plain) to the internal format
 * ``fuzz``      — adversarial workload search over the synthetic
   generator's parameter space (docs/scenarios.md): worst cases by a
   pluggable objective, reproducible per seed, results deduped into
@@ -137,12 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="configurations (default: NP PS MS PMS)")
     sweep.add_argument("--timeout", type=float, default=None,
                        help="per-job timeout in seconds")
-    sweep.add_argument("--fidelity", choices=("exact", "fast", "auto"),
-                       default="exact",
-                       help="simulation tier (docs/fidelity.md): exact = "
-                            "cycle-accurate, fast = analytic model with "
-                            "validated error bars, auto = fast plus exact "
-                            "escalation near decision boundaries")
     sweep.add_argument("--metrics-port", type=int, metavar="N", default=None,
                        help="serve /metrics, /healthz and /progress on "
                             "127.0.0.1:N for the duration of the sweep "
@@ -159,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     figure.add_argument("id", choices=sorted(FIGURES))
 
     trace = sub.add_parser(
-        "trace", help="trace tooling: generate / convert / calibrate"
+        "trace", help="trace tooling: generate / convert"
     )
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
 
@@ -190,19 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tconv.add_argument("--limit", type=int, default=None, metavar="N",
                        help="convert at most the first N records")
 
-    tcal = trace_sub.add_parser(
-        "calibrate",
-        help="calibrate the fast model's error bars on a converted trace",
-    )
-    tcal.add_argument("file", help="internal-format trace file")
-    tcal.add_argument("-c", "--configs", nargs="+", metavar="CONFIG",
-                      default=list(CONFIG_NAMES),
-                      help="configurations (default: NP PS MS PMS)")
-    tcal.add_argument("-n", "--accesses", type=int, default=None,
-                      help="replay at most N records (default: all)")
-    tcal.add_argument("--seed", type=int, default=1)
-    parallel(tcal)
-
     fuzz = sub.add_parser(
         "fuzz", help="adversarial workload search (docs/scenarios.md)"
     )
@@ -211,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--seed", type=int, default=0,
                       help="search seed; same seed, same worst cases")
     fuzz.add_argument("--objective", default="waste",
-                      choices=("waste", "regret", "fidelity"),
+                      choices=("waste", "regret"),
                       help="what to maximise (default waste: prefetches "
                            "nobody reads)")
     fuzz.add_argument("--top", type=int, default=8, metavar="K",
@@ -489,21 +469,11 @@ def _cmd_sweep(args) -> int:
         ).start()
         print(f"  obs endpoint: {server.url}", file=sys.stderr)
     try:
-        if args.fidelity == "exact":
-            outcome = sweep.run_jobs(
-                specs, jobs=max(1, jobs), timeout=args.timeout,
-                use_store=False if args.no_store else None,
-                progress=live, metrics=registry,
-            )
-        else:
-            from repro.fastsim import run_fidelity_sweep
-
-            outcome = run_fidelity_sweep(
-                specs, fidelity=args.fidelity, jobs=max(1, jobs),
-                timeout=args.timeout,
-                use_store=False if args.no_store else None,
-                progress=live, metrics=registry,
-            )
+        outcome = sweep.run_jobs(
+            specs, jobs=max(1, jobs), timeout=args.timeout,
+            use_store=False if args.no_store else None,
+            progress=live, metrics=registry,
+        )
     finally:
         if printer is not None:
             printer.close()
@@ -526,16 +496,7 @@ def _cmd_sweep(args) -> int:
                    f"jobs={max(1, jobs)})"),
         )
     )
-    print(f"  {outcome.stats.describe()}")
-    record = getattr(outcome, "record", None)
-    if record is not None:
-        print(f"  {record.summary()}")
-        if getattr(outcome, "escalated_indices", None):
-            escalated = ", ".join(
-                f"{specs[i].benchmark}/{specs[i].config_name}"
-                for i in outcome.escalated_indices
-            )
-            print(f"  escalated to exact (decision boundary): {escalated}")
+    print(f"  {outcome.stats.summary()}")
     if not args.no_store:
         from repro.experiments import store
 
@@ -645,31 +606,17 @@ def _cmd_trace(args) -> int:
         )
         return 0
 
-    if args.trace_command == "convert":
-        from repro.scenarios.loaders import convert_trace
-        from repro.workloads.dynamic import trace_benchmark
+    # trace convert
+    from repro.scenarios.loaders import convert_trace
+    from repro.workloads.dynamic import trace_benchmark
 
-        report = convert_trace(
-            args.source, args.output, fmt=args.fmt,
-            line_size=args.line_size, default_gap=args.gap,
-            limit=args.limit,
-        )
-        print(report.summary())
-        print(f"benchmark name: {trace_benchmark(args.output)}")
-        return 0
-
-    # trace calibrate
-    from repro.scenarios.calibrate import calibrate_trace
-
-    record, outcome = calibrate_trace(
-        args.file, configs=args.configs, accesses=args.accesses,
-        seed=args.seed, jobs=max(1, args.jobs or 1),
-        use_store=False if args.no_store else None,
+    report = convert_trace(
+        args.source, args.output, fmt=args.fmt,
+        line_size=args.line_size, default_gap=args.gap,
+        limit=args.limit,
     )
-    for result in outcome.results:
-        print(result.summary())
-    print(f"  {outcome.stats.describe()}")
-    print(f"  {record.summary()}")
+    print(report.summary())
+    print(f"benchmark name: {trace_benchmark(args.output)}")
     return 0
 
 
@@ -703,7 +650,7 @@ def _cmd_fuzz(args) -> int:
     print(f"  baseline ({report.baseline.name}): "
           f"score {report.baseline.score:.4f}")
     print(f"  {report.summary()}")
-    print(f"  {report.stats.describe()}")
+    print(f"  {report.stats.summary()}")
     return 0
 
 

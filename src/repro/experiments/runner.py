@@ -114,16 +114,10 @@ def cache_key(
     scheduler: str = "ahb",
     mutate_key: Optional[str] = None,
     traced: bool = False,
-    fidelity: str = "exact",
 ) -> Tuple:
-    """The in-process cache key for one run (resolved arguments).
-
-    ``fidelity`` separates fast-model predictions from exact results:
-    the two tiers of one job never alias in the cache (mirroring the
-    ``fidelity`` field :func:`store.job_spec` adds to fast store keys).
-    """
+    """The in-process cache key for one run (resolved arguments)."""
     return (benchmark, config_name, accesses, seed, threads, scheduler,
-            mutate_key, traced, fidelity)
+            mutate_key, traced)
 
 
 def cached_result(key: Tuple) -> Optional[RunResult]:
@@ -345,18 +339,21 @@ def run_suite(
 def preload_store(use_store: Optional[bool] = None) -> int:
     """Warm the in-process cache from the on-disk store.
 
-    Loads every stored, fingerprint-verified, unmutated result into the
-    run cache so a whole session (e.g. the benchmark suite) starts hot.
-    Entries whose config fingerprint no longer matches the current
-    preset definitions are skipped — never served stale.  Also reaps
-    aged-out ``.tmp-*`` orphans left by writers killed mid-put.
-    Returns the number of runs loaded.
+    Loads every stored, unmutated result whose spec is exactly the one
+    :func:`store.job_spec` builds today into the run cache, so a whole
+    session (e.g. the benchmark suite) starts hot.  Everything else is
+    skipped — never served stale: entries whose config fingerprint no
+    longer matches the current preset definitions, and entries with
+    any other spec shape (such as fast-model predictions written by
+    older versions, whose specs carry extra ``fidelity`` and
+    ``fast_model`` keys).  Also reaps aged-out ``.tmp-*`` orphans left
+    by writers killed mid-put.  Returns the number of runs loaded.
     """
     active_store = _store_for(use_store)
     if active_store is None:
         return 0
     active_store.sweep_orphans()
-    fingerprints: Dict[Tuple[str, int, str], Optional[str]] = {}
+    configs: Dict[Tuple[str, int, str], Optional[SystemConfig]] = {}
     loaded = 0
     for spec, result in active_store.entries():
         if spec.get("mutate_key") is not None:
@@ -364,18 +361,21 @@ def preload_store(use_store: Optional[bool] = None) -> int:
             # via its own read-through.
             continue
         ident = (spec["config"], spec["threads"], spec["scheduler"])
-        if ident not in fingerprints:
+        if ident not in configs:
             try:
-                config = make_config(spec["config"], threads=spec["threads"],
-                                     scheduler=spec["scheduler"])
-                fingerprints[ident] = store.config_fingerprint(config)
+                configs[ident] = make_config(
+                    spec["config"], threads=spec["threads"],
+                    scheduler=spec["scheduler"])
             except (KeyError, ValueError):
-                fingerprints[ident] = None  # preset no longer exists
-        if fingerprints[ident] != spec.get("config_fingerprint"):
+                configs[ident] = None  # preset no longer exists
+        config = configs[ident]
+        if config is None or spec != store.job_spec(
+            spec["benchmark"], spec["config"], spec["accesses"],
+            spec["seed"], spec["threads"], spec["scheduler"], None, config,
+        ):
             continue
         key = cache_key(spec["benchmark"], spec["config"], spec["accesses"],
-                        spec["seed"], spec["threads"], spec["scheduler"],
-                        fidelity=str(spec.get("fidelity", "exact")))
+                        spec["seed"], spec["threads"], spec["scheduler"])
         if key not in _run_cache:
             _run_cache[key] = result
             loaded += 1

@@ -89,17 +89,9 @@ def job_spec(
     scheduler: str,
     mutate_key: Optional[str],
     config: SystemConfig,
-    fidelity: str = "exact",
 ) -> Dict[str, object]:
-    """The canonical job specification a store key is derived from.
-
-    Exact jobs keep the historical key shape (no ``fidelity`` key), so
-    every pre-existing store entry stays addressable.  Fast-tier jobs
-    add the tier *and* the fast-model version: bumping
-    :data:`repro.fastsim.version.FAST_MODEL_VERSION` silently retires
-    every fast entry while leaving exact ones untouched.
-    """
-    spec: Dict[str, object] = {
+    """The canonical job specification a store key is derived from."""
+    return {
         "benchmark": benchmark,
         "config": config_name,
         "accesses": accesses,
@@ -109,14 +101,6 @@ def job_spec(
         "mutate_key": mutate_key,
         "config_fingerprint": config_fingerprint(config),
     }
-    if fidelity != "exact":
-        from repro.fastsim.version import FAST_MODEL_VERSION, JOB_FIDELITIES
-
-        if fidelity not in JOB_FIDELITIES:
-            raise ValueError(f"unknown job fidelity {fidelity!r}")
-        spec["fidelity"] = fidelity
-        spec["fast_model"] = FAST_MODEL_VERSION
-    return spec
 
 
 def job_key(spec: Mapping[str, object]) -> str:
@@ -132,7 +116,7 @@ def encode_result(result: RunResult) -> Dict[str, object]:
             "traced runs are never stored: telemetry side effects "
             "(events, probe samples) cannot be replayed from a store"
         )
-    payload: Dict[str, object] = {
+    return {
         "config_name": result.config_name,
         "benchmark": result.benchmark,
         "cycles": result.cycles,
@@ -141,15 +125,11 @@ def encode_result(result: RunResult) -> Dict[str, object]:
         "stats": dict(result.stats),
         "power": dataclasses.asdict(result.power) if result.power else None,
     }
-    if result.fidelity is not None:
-        payload["fidelity"] = dict(result.fidelity)
-    return payload
 
 
 def decode_result(payload: Mapping[str, object]) -> RunResult:
     """Inverse of :func:`encode_result`."""
     power = payload.get("power")
-    fidelity = payload.get("fidelity")
     return RunResult(
         config_name=payload["config_name"],
         benchmark=payload["benchmark"],
@@ -158,7 +138,6 @@ def decode_result(payload: Mapping[str, object]) -> RunResult:
         cpu_ratio=payload["cpu_ratio"],
         stats=dict(payload["stats"]),
         power=PowerReport(**power) if power is not None else None,
-        fidelity=dict(fidelity) if fidelity is not None else None,
     )
 
 

@@ -20,12 +20,11 @@ Robustness:
   created (restricted environments), or exhausted retries all degrade
   to the ordinary in-process path.  A sweep always completes.
 
-Determinism: workers execute :func:`compute_job` — the exact code the
-serial path runs, dispatching each job's fidelity tier (exact
-simulator or the :mod:`repro.fastsim` model) — and ship results back
-through the store codec, which is lossless for ints, floats, and
-strings.  A parallel sweep therefore compares equal, field for field,
-to the serial run of the same specs (asserted by
+Determinism: workers execute ``runner.simulate_job`` — the exact code
+the serial path runs — and ship results back through the store codec,
+which is lossless for ints, floats, and strings.  A parallel sweep
+therefore compares equal, field for field, to the serial run of the
+same specs (asserted by
 ``tests/integration/test_sweep_parallel``).
 
 Telemetry never enters this module: traced runs are serial-only by the
@@ -54,6 +53,7 @@ branch per job.
 from __future__ import annotations
 
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
@@ -64,7 +64,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig
 from repro.experiments import runner, store
-from repro.fastsim.version import JOB_FIDELITIES
 from repro.obs import flightrec
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
@@ -94,9 +93,6 @@ class Job:
     threads: int = 1
     scheduler: str = "ahb"
     mutate_key: Optional[str] = None
-    #: execution tier: "exact" (cycle-accurate simulator) or "fast"
-    #: (the :mod:`repro.fastsim` analytic model) — docs/fidelity.md
-    fidelity: str = "exact"
 
     def resolve(self) -> "Job":
         """Fill env-backed defaults and validate the trace length."""
@@ -106,13 +102,6 @@ class Job:
                 "not cross process boundaries, so the sweep engine would "
                 "cache an unmutated result under a mutated identity. Use "
                 "runner.run(mutate=..., mutate_key=...) serially instead."
-            )
-        if self.fidelity not in JOB_FIDELITIES:
-            raise ValueError(
-                f"unknown job fidelity {self.fidelity!r}: expected one of "
-                f"{JOB_FIDELITIES} (\"auto\" is a *sweep* policy — the "
-                "orchestrator lowers it to per-job tiers; see "
-                "repro.fastsim.orchestrator)"
             )
         return replace(
             self,
@@ -128,7 +117,6 @@ def expand_grid(
     seed: Optional[int] = None,
     threads: int = 1,
     scheduler: str = "ahb",
-    fidelity: str = "exact",
 ) -> List[Job]:
     """Expand a benchmarks x configs grid into unresolved :class:`Job` specs.
 
@@ -136,12 +124,10 @@ def expand_grid(
     :func:`runner.run_suite` and the ``repro sweep`` CLI: benchmark-major,
     config-minor order, so results align positionally with the nested
     suite dict.
-    ``fidelity`` is a per-job tier ("exact" or "fast"); the "auto"
-    sweep policy is lowered before grid expansion.
     """
     return [
         Job(benchmark=b, config_name=c, accesses=accesses, seed=seed,
-            threads=threads, scheduler=scheduler, fidelity=fidelity)
+            threads=threads, scheduler=scheduler)
         for b in benchmarks
         for c in config_names
     ]
@@ -159,12 +145,12 @@ def prepare(job: Job) -> Tuple["Job", Tuple, Dict[str, object], SystemConfig]:
     job = job.resolve()
     key = runner.cache_key(job.benchmark, job.config_name, job.accesses,
                            job.seed, job.threads, job.scheduler,
-                           job.mutate_key, fidelity=job.fidelity)
+                           job.mutate_key)
     config = make_config(job.config_name, threads=job.threads,
                          scheduler=job.scheduler)
     spec = store.job_spec(job.benchmark, job.config_name, job.accesses,
                           job.seed, job.threads, job.scheduler,
-                          job.mutate_key, config, fidelity=job.fidelity)
+                          job.mutate_key, config)
     return job, key, spec, config
 
 
@@ -213,9 +199,6 @@ class SweepStats:
     store_misses: int = 0  # store reads that missed
     store_errors: int = 0  # corrupt entries treated as misses
     store_puts: int = 0  # results persisted during this call
-    fast_jobs: int = 0  # jobs resolved at the fast-model tier
-    exact_jobs: int = 0  # jobs resolved at the cycle-accurate tier
-    validated: int = 0  # fast jobs cross-checked by a FidelityGate
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view of every counter."""
@@ -247,23 +230,6 @@ class SweepStats:
         """Fold another stats block into this one (counter-wise sum)."""
         for name, value in other.as_dict().items():
             setattr(self, name, getattr(self, name) + value)
-
-    def describe(self) -> str:
-        """:meth:`summary` plus the fidelity breakdown of the sweep.
-
-        Single-tier exact sweeps describe exactly like before; as soon
-        as any job ran at the fast tier the line reports how many jobs
-        each tier served and how many fast points a
-        :class:`~repro.fastsim.gate.FidelityGate` cross-checked against
-        the exact simulator.
-        """
-        line = self.summary()
-        if self.fast_jobs:
-            line += (
-                f"; fidelity: {self.fast_jobs} fast / "
-                f"{self.exact_jobs} exact, {self.validated} validated"
-            )
-        return line
 
 
 @dataclass
@@ -350,14 +316,18 @@ class _SweepObs:
         started_unix: Optional[float],
         exec_s: Optional[float],
         queue_wait_s: Optional[float] = None,
+        worker: Optional[int] = None,
     ) -> None:
         """Synthesize the span tree of one executed job from its stamps.
 
         Workers run in other processes, so instead of live spans they
         ship wall-clock stamps home and the parent reconstructs a
         ``sweep.job`` span (with ``sweep.queue_wait`` / ``sweep.exec``
-        children) under the sweep root.  Injected worker stubs may not
-        report stamps; those jobs simply go untraced.
+        children) under the sweep root.  ``worker`` is the pool
+        worker's pid; it lands on ``sweep.exec`` as the ``worker``
+        attribute, giving each worker its own lane in
+        :func:`~repro.obs.spans.to_chrome_trace`.  Injected worker stubs
+        may not report stamps; those jobs simply go untraced.
         """
         if not self.spans.enabled or started_unix is None or exec_s is None:
             return
@@ -365,13 +335,14 @@ class _SweepObs:
         submitted = started_unix - wait
         parent = self.spans.add(
             "sweep.job", submitted, wait + exec_s, parent=self.sweep_ctx,
-            benchmark=job.benchmark, config=job.config_name,
-            fidelity=job.fidelity, mode=mode,
+            benchmark=job.benchmark, config=job.config_name, mode=mode,
         )
         if wait > 0.0:
             self.spans.add("sweep.queue_wait", submitted, wait, parent=parent)
+        where = {} if worker is None else {"worker": worker}
         self.spans.add("sweep.exec", started_unix, exec_s, parent=parent,
-                       benchmark=job.benchmark, config=job.config_name)
+                       benchmark=job.benchmark, config=job.config_name,
+                       **where)
 
     def event(self, name: str, **fields: object) -> None:
         """One robustness event: metric, flight-recorder note, progress."""
@@ -406,30 +377,8 @@ def _job_payload(job: Job) -> Dict[str, object]:
         "accesses": job.accesses,
         "seed": job.seed,
         "threads": job.threads,
-        "fidelity": job.fidelity,
         "_submitted": _wall_time(),
     }
-
-
-def compute_job(
-    config: SystemConfig,
-    benchmark: str,
-    accesses: int,
-    seed: int,
-    threads: int,
-    fidelity: str,
-) -> RunResult:
-    """Tier dispatch shared by serial and worker execution paths.
-
-    One function, both tiers: the parallel == serial determinism
-    guarantee extends to fast jobs because workers and the serial
-    fallback route through this exact dispatch.
-    """
-    if fidelity == "fast":
-        from repro.fastsim.model import simulate_job_fast
-
-        return simulate_job_fast(config, benchmark, accesses, seed, threads)
-    return runner.simulate_job(config, benchmark, accesses, seed, threads)
 
 
 def _execute_job(payload: Dict[str, object], config: SystemConfig) -> Dict[str, object]:
@@ -438,24 +387,24 @@ def _execute_job(payload: Dict[str, object], config: SystemConfig) -> Dict[str, 
     The parent ships the fully-built :class:`SystemConfig` (presets
     only — :meth:`Job.resolve` rejects mutated jobs), so workers never
     need callables; the result travels back through the store codec,
-    annotated with a small ``_obs`` timing block (queue wait + exec
-    seconds) the parent strips before decoding.
+    annotated with a small ``_obs`` block (queue wait, exec seconds,
+    start stamp and the worker's pid) the parent strips before decoding.
     """
     started = _wall_time()
     t0 = perf_counter()
-    result = compute_job(
+    result = runner.simulate_job(
         config,
         payload["benchmark"],
         payload["accesses"],
         payload["seed"],
         payload["threads"],
-        str(payload.get("fidelity", "exact")),
     )
     encoded = store.encode_result(result)
     encoded["_obs"] = {
         "queue_wait_s": max(0.0, started - payload.get("_submitted", started)),
         "exec_s": perf_counter() - t0,
         "started_unix": started,
+        "worker": os.getpid(),
     }
     return encoded
 
@@ -529,10 +478,6 @@ def run_jobs(
         pending: List[_Pending] = []
         for index, job in enumerate(specs):
             job, key, spec, config = prepare(job)
-            if job.fidelity == "fast":
-                stats.fast_jobs += 1
-            else:
-                stats.exact_jobs += 1
             found, source = lookup(key, spec, active_store)
             if found is not None:
                 results[index] = found
@@ -603,8 +548,8 @@ def _run_one_serial(
     _, job, _, _, config = item
     start_wall = _wall_time()
     t0 = perf_counter()
-    result = compute_job(config, job.benchmark, job.accesses, job.seed,
-                      job.threads, job.fidelity)
+    result = runner.simulate_job(config, job.benchmark, job.accesses,
+                                 job.seed, job.threads)
     seconds = perf_counter() - t0
     stats.executed_serial += 1
     obs.job_done("serial", seconds)
@@ -660,7 +605,8 @@ def _run_parallel(
                 obs.job_span(item[1], "parallel",
                              timing.get("started_unix"),
                              timing.get("exec_s"),
-                             timing.get("queue_wait_s"))
+                             timing.get("queue_wait_s"),
+                             timing.get("worker"))
             except FutureTimeout:
                 # The worker may be wedged; abandon it (the pool is shut
                 # down below without waiting) and run here instead.

@@ -31,8 +31,7 @@ from repro.system.simulator import LOOP_MODES, simulate
 from repro.workloads.profiles import suite_benchmarks
 
 #: Bumped when the report layout changes; mismatched baselines are
-#: rejected rather than silently compared.  v2 added the
-#: ``fast_vs_exact`` entry (analytic-model speedup, docs/fidelity.md).
+#: rejected rather than silently compared.
 PERF_SCHEMA_VERSION = 2
 
 #: Config set used by the headline figures (Figure 5 et al.).
@@ -107,60 +106,6 @@ def measure_suite(
     return report
 
 
-def measure_fast_vs_exact(
-    suite: str,
-    configs: Sequence[str] = DEFAULT_CONFIGS,
-    accesses: Optional[int] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-    threads: int = 1,
-    seed: int = 1,
-) -> Dict:
-    """Time the fast analytic model against the cycle-accurate loop.
-
-    Runs every ``(benchmark, config)`` cell at both fidelity tiers
-    (docs/fidelity.md) on identical cached traces and reports the
-    aggregate wall-clock speedup plus the per-metric error bars a
-    :class:`~repro.fastsim.gate.FidelityGate` calibrates from the
-    full pairing — the headline number behind ``--fidelity fast``.
-    """
-    from repro.fastsim.gate import FidelityGate
-    from repro.fastsim.model import simulate_job_fast
-    from repro.fastsim.version import FAST_MODEL_VERSION
-
-    accesses = resolve_accesses(accesses)
-    names = list(benchmarks) if benchmarks else list(suite_benchmarks(suite))
-    pairs = []
-    fast_wall = 0.0
-    exact_wall = 0.0
-    for bench in names:
-        # Warm the trace cache first so neither tier pays generation.
-        traces = [
-            get_trace(bench, accesses, seed + t) for t in range(threads)
-        ]
-        for config_name in configs:
-            config = make_config(config_name, threads=threads)
-            start = time.perf_counter()
-            fast = simulate_job_fast(config, bench, accesses, seed, threads)
-            fast_wall += time.perf_counter() - start
-            start = time.perf_counter()
-            exact = simulate(config, traces)
-            exact_wall += time.perf_counter() - start
-            pairs.append((fast, exact))
-    record = FidelityGate().calibrate(pairs)
-    return {
-        "jobs": len(pairs),
-        "accesses": accesses,
-        "fast_wall_seconds": round(fast_wall, 4),
-        "exact_wall_seconds": round(exact_wall, 4),
-        "speedup": round(exact_wall / fast_wall, 1) if fast_wall else 0.0,
-        "model_version": FAST_MODEL_VERSION,
-        "error_bars": {
-            metric: round(bound, 4)
-            for metric, bound in record.error_bars().items()
-        },
-    }
-
-
 def write_report(path: str, report: Dict) -> None:
     """Write ``report`` as stable (sorted, indented) JSON."""
     with open(path, "w") as fh:
@@ -211,17 +156,4 @@ def compare_reports(
             f"baseline {base_ratio:.3f}x (floor {floor:.3f}x at "
             f"threshold {threshold:.0%})"
         )
-    base_fast = (baseline.get("fast_vs_exact") or {}).get("speedup")
-    cur_fast = (current.get("fast_vs_exact") or {}).get("speedup")
-    if base_fast is not None:
-        if cur_fast is None:
-            problems.append("baseline has fast_vs_exact but current lacks it")
-        else:
-            fast_floor = base_fast * (1.0 - threshold)
-            if cur_fast < fast_floor:
-                problems.append(
-                    f"fast-model speedup regressed: {cur_fast:.1f}x vs "
-                    f"baseline {base_fast:.1f}x (floor {fast_floor:.1f}x "
-                    f"at threshold {threshold:.0%})"
-                )
     return problems

@@ -9,15 +9,12 @@ axis in both directions (docs/scenarios.md):
   ``addr,rw[,tid]`` CSV), normalising byte addresses to the internal
   ``(gap, line, is_write)`` records with configurable line-size
   rebasing;
-* :mod:`~repro.scenarios.calibrate` — per-trace fast-model calibration
-  through the existing :class:`~repro.fastsim.gate.FidelityGate`;
 * :mod:`~repro.scenarios.fuzzer` — an adversarial search over the
   :class:`~repro.workloads.synthetic.StreamWorkload` parameter space
   for patterns where ASD mispredicts, executed through the ordinary
   sweep engine so every candidate dedupes into the result store.
 """
 
-from repro.scenarios.calibrate import calibrate_trace
 from repro.scenarios.fuzzer import FuzzReport, FuzzResult, run_fuzz
 from repro.scenarios.loaders import (
     convert_trace,
@@ -35,7 +32,6 @@ __all__ = [
     "FuzzSpace",
     "OBJECTIVES",
     "Objective",
-    "calibrate_trace",
     "convert_trace",
     "detect_format",
     "iter_champsim",

@@ -1,7 +1,7 @@
 """Adversarial workload fuzzing over the StreamWorkload space.
 
-:func:`run_fuzz` searches for parameter sets where the prefetcher (or
-the fast model) does *badly*, as quantified by a pluggable
+:func:`run_fuzz` searches for parameter sets where the prefetcher does
+*badly*, as quantified by a pluggable
 :class:`~repro.scenarios.objectives.Objective`.  The search is plain
 random sampling plus mutation of the current worst-case elites —
 cheap, embarrassingly parallel, and fully deterministic for a given
@@ -153,21 +153,21 @@ def _evaluate(
     """Score one batch of candidates through a single sweep call.
 
     ``batch`` rows are ``(benchmark, origin, round)``; each candidate
-    contributes one job per objective cell, and the whole batch is one
+    contributes one job per objective config, and the whole batch is one
     ``run_jobs`` call so parallelism and store dedupe span candidates.
     """
     specs = [
         Job(benchmark=benchmark, config_name=config, accesses=accesses,
-            seed=seed, fidelity=fidelity)
+            seed=seed)
         for benchmark, _, _ in batch
-        for config, fidelity in objective.cells
+        for config in objective.cells
     ]
     outcome = run_jobs(specs, jobs=jobs, use_store=use_store)
     stats.merge(outcome.stats)
     results: List[FuzzResult] = []
     width = len(objective.cells)
     for slot, (benchmark, origin, rnd) in enumerate(batch):
-        grid: Dict[Tuple[str, str], RunResult] = {
+        grid: Dict[str, RunResult] = {
             cell: outcome.results[slot * width + offset]
             for offset, cell in enumerate(objective.cells)
         }

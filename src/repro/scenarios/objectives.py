@@ -1,9 +1,9 @@
 """Pluggable fuzz objectives: what "adversarial" means, quantified.
 
-An :class:`Objective` declares which (config, fidelity) cells each
-candidate workload must run under and turns the resulting
+An :class:`Objective` declares which configurations each candidate
+workload must run under and turns the resulting
 :class:`~repro.system.results.RunResult` grid into a single score where
-**higher = more adversarial**.  Three ship in :data:`OBJECTIVES`:
+**higher = more adversarial**.  Two ship in :data:`OBJECTIVES`:
 
 ``waste``
     Minimise the useful-prefetch fraction of PMS — find mixtures where
@@ -14,11 +14,6 @@ candidate workload must run under and turns the resulting
     Maximise the cycle cost of PMS's *adaptive* scheduling relative to
     the best fixed policy (``PMS_POLICY1..5``) — find patterns where
     adapting per-epoch picks worse than any static choice would.
-
-``fidelity``
-    Maximise the fast-model-vs-exact relative error (worst gated
-    metric) on PMS — find workloads the analytic surrogate models
-    badly, feeding the calibration corpus.
 """
 
 from __future__ import annotations
@@ -26,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Tuple
 
-from repro.fastsim.gate import GATED_METRICS, metric_value, relative_error
 from repro.system.results import RunResult
 
-#: One candidate's evaluated grid: ``(config_name, fidelity) -> result``.
-ResultGrid = Mapping[Tuple[str, str], RunResult]
+#: One candidate's evaluated grid: ``config_name -> result``.
+ResultGrid = Mapping[str, RunResult]
 
 #: Fixed-policy ablations the regret objective races PMS against.
 REGRET_POLICIES = tuple(f"PMS_POLICY{k}" for k in range(1, 6))
@@ -42,8 +36,8 @@ class Objective:
 
     name: str
     description: str
-    #: (config_name, fidelity) cells to evaluate per candidate.
-    cells: Tuple[Tuple[str, str], ...]
+    #: config names to evaluate per candidate.
+    cells: Tuple[str, ...]
     #: grid -> adversarial score (higher = more adversarial).
     score: Callable[[ResultGrid], float]
     #: grid -> headline metrics recorded alongside the score.
@@ -70,7 +64,7 @@ _WASTE_DAMPING = 20.0
 
 
 def _waste_score(grid: ResultGrid) -> float:
-    result = grid[("PMS", "exact")]
+    result = grid["PMS"]
     inserts = result.stats.get("pb.inserts", 0)
     if not inserts:
         # ASD issued no prefetches at all: nothing was wasted, however
@@ -81,8 +75,8 @@ def _waste_score(grid: ResultGrid) -> float:
 
 
 def _waste_metrics(grid: ResultGrid) -> Dict[str, float]:
-    out = _common_metrics(grid[("PMS", "exact")])
-    out["pb_inserts"] = float(grid[("PMS", "exact")].stats.get("pb.inserts", 0))
+    out = _common_metrics(grid["PMS"])
+    out["pb_inserts"] = float(grid["PMS"].stats.get("pb.inserts", 0))
     return out
 
 
@@ -90,9 +84,9 @@ def _waste_metrics(grid: ResultGrid) -> Dict[str, float]:
 # regret
 # ----------------------------------------------------------------------
 def _regret_score(grid: ResultGrid) -> float:
-    adaptive = grid[("PMS", "exact")]
+    adaptive = grid["PMS"]
     best_fixed = min(
-        grid[(policy, "exact")].cycles for policy in REGRET_POLICIES
+        grid[policy].cycles for policy in REGRET_POLICIES
     )
     if best_fixed == 0:
         return 0.0
@@ -102,31 +96,10 @@ def _regret_score(grid: ResultGrid) -> float:
 
 
 def _regret_metrics(grid: ResultGrid) -> Dict[str, float]:
-    out = _common_metrics(grid[("PMS", "exact")])
+    out = _common_metrics(grid["PMS"])
     out["best_fixed_cycles"] = float(min(
-        grid[(policy, "exact")].cycles for policy in REGRET_POLICIES
+        grid[policy].cycles for policy in REGRET_POLICIES
     ))
-    return out
-
-
-# ----------------------------------------------------------------------
-# fidelity
-# ----------------------------------------------------------------------
-def _fidelity_score(grid: ResultGrid) -> float:
-    fast = grid[("PMS", "fast")]
-    exact = grid[("PMS", "exact")]
-    return max(
-        relative_error(fast, exact, metric) for metric in GATED_METRICS
-    )
-
-
-def _fidelity_metrics(grid: ResultGrid) -> Dict[str, float]:
-    fast = grid[("PMS", "fast")]
-    exact = grid[("PMS", "exact")]
-    out = _common_metrics(exact)
-    for metric in GATED_METRICS:
-        out[f"err_{metric}"] = relative_error(fast, exact, metric)
-        out[f"fast_{metric}"] = metric_value(fast, metric)
     return out
 
 
@@ -137,7 +110,7 @@ OBJECTIVES: Dict[str, Objective] = {
         Objective(
             name="waste",
             description="minimise the PMS useful-prefetch fraction",
-            cells=(("PMS", "exact"),),
+            cells=("PMS",),
             score=_waste_score,
             metrics=_waste_metrics,
         ),
@@ -147,21 +120,9 @@ OBJECTIVES: Dict[str, Objective] = {
                 "maximise adaptive-scheduling cycles vs the best "
                 "fixed policy (PMS_POLICY1..5)"
             ),
-            cells=tuple(
-                (config, "exact") for config in ("PMS",) + REGRET_POLICIES
-            ),
+            cells=("PMS",) + REGRET_POLICIES,
             score=_regret_score,
             metrics=_regret_metrics,
-        ),
-        Objective(
-            name="fidelity",
-            description=(
-                "maximise the fast-vs-exact relative error (worst "
-                "gated metric) on PMS"
-            ),
-            cells=(("PMS", "fast"), ("PMS", "exact")),
-            score=_fidelity_score,
-            metrics=_fidelity_metrics,
         ),
     )
 }

@@ -27,38 +27,11 @@ class RunResult:
     #: telemetry digest (tracer event counts, probe coverage) when the
     #: run was traced; None for untraced runs — see repro.telemetry
     telemetry: Optional[Dict[str, object]] = None
-    #: fidelity record (docs/fidelity.md): None for plain exact runs;
-    #: fast-model results carry ``{"tier": "fast", "model_version": N}``
-    #: plus, once a FidelityGate has calibrated the sweep, per-metric
-    #: ``error_bars`` and the calibration summary they came from
-    fidelity: Optional[Dict[str, object]] = None
 
     @property
     def telemetry_active(self) -> bool:
         """True when this run executed with telemetry enabled."""
         return self.telemetry is not None
-
-    @property
-    def fidelity_tier(self) -> str:
-        """``"fast"`` or ``"exact"`` — how this result was computed."""
-        if self.fidelity is None:
-            return "exact"
-        return str(self.fidelity.get("tier", "exact"))
-
-    def error_bar(self, metric: str) -> Optional[float]:
-        """Validated relative-error bound for ``metric``, if attached.
-
-        Fast results gain per-metric bounds once a
-        :class:`repro.fastsim.gate.FidelityGate` has calibrated their
-        sweep; exact results (and uncalibrated fast ones) return None.
-        """
-        if self.fidelity is None:
-            return None
-        bars = self.fidelity.get("error_bars")
-        if not isinstance(bars, dict):
-            return None
-        value = bars.get(metric)
-        return float(value) if isinstance(value, (int, float)) else None
 
     @property
     def cpu_cycles(self) -> int:
@@ -187,8 +160,6 @@ class RunResult:
             }
         if self.telemetry is not None:
             out["telemetry"] = self.telemetry
-        if self.fidelity is not None:
-            out["fidelity"] = self.fidelity
         return out
 
     def summary(self) -> str:

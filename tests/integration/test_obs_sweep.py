@@ -15,6 +15,7 @@ import pytest
 from repro.experiments import runner, store, sweep
 from repro.obs import flightrec
 from repro.obs import metrics as obs_metrics
+from repro.obs import spans as obs_spans
 from repro.obs.paths import postmortem_dir
 from repro.obs.progress import SweepProgress
 
@@ -113,6 +114,25 @@ class TestMetricsFlow:
         snap = progress.snapshot()
         assert snap["done"] == 2
         assert snap["finished"] is True
+
+
+class TestWorkerLanes:
+    def test_parallel_exec_spans_get_one_lane_per_worker(self):
+        collector = obs_spans.SpanCollector(enabled=True)
+        benchmarks = ("tonto", "milc", "gamess", "povray")
+        sweep.run_jobs(
+            [sweep.Job(b, "NP", accesses=ACCESSES) for b in benchmarks],
+            jobs=2, use_store=False, spans=collector,
+        )
+        spans = collector.spans()
+        execs = [s for s in spans if s["name"] == "sweep.exec"]
+        assert len(execs) == len(benchmarks)
+        pids = {s["attrs"]["worker"] for s in execs}
+        assert os.getpid() not in pids
+        document = obs_spans.to_chrome_trace(spans)
+        lanes = {e["args"]["name"] for e in document["traceEvents"]
+                 if e["ph"] == "M"}
+        assert lanes == {str(pid) for pid in pids} | {"main"}
 
 
 class TestPostmortems:

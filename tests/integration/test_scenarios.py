@@ -2,7 +2,7 @@
 
 Covers the two scenario-diversity paths end to end: a converted
 external trace running as a content-addressed ``trace:`` benchmark
-(store dedupe, digest staleness, fast-model calibration), and fuzz
+(store dedupe, digest staleness), and fuzz
 candidates running as inline ``wl:`` benchmarks (CLI included).
 """
 
@@ -12,7 +12,6 @@ import pytest
 
 import repro.cli as cli
 from repro.experiments.sweep import Job, run_jobs
-from repro.scenarios.calibrate import calibrate_trace
 from repro.scenarios.loaders import convert_trace
 from repro.workloads.dynamic import trace_benchmark, workload_benchmark
 from repro.workloads.synthetic import StreamWorkload
@@ -60,16 +59,6 @@ class TestTraceBenchmarks:
         with pytest.raises(ValueError, match="changed since"):
             run_jobs([Job(benchmark, "NP", accesses=100, seed=1)])
 
-    def test_calibrate_trace_produces_error_bars(self, converted):
-        record, outcome = calibrate_trace(
-            converted, configs=("NP", "PMS"), accesses=300, seed=1
-        )
-        assert record.samples >= 1
-        assert set(record.errors) >= {"cycles", "coverage"}
-        for result in outcome.results:
-            assert result.fidelity_tier == "fast"
-            assert result.error_bar("cycles") is not None
-
 
 class TestWorkloadBenchmarks:
     def test_wl_benchmark_runs_and_dedupes(self):
@@ -91,7 +80,7 @@ class TestWorkloadBenchmarks:
 
 
 class TestCliEndToEnd:
-    def test_trace_convert_and_calibrate(self, tmp_path, capsys):
+    def test_trace_convert(self, tmp_path, capsys):
         source = tmp_path / "ext.csv"
         source.write_text(
             "".join(f"{hex(0x8000 + 64 * i)},R\n" for i in range(200))
@@ -102,11 +91,6 @@ class TestCliEndToEnd:
         out = capsys.readouterr().out
         assert "200 records" in out
         assert "benchmark name: trace:" in out
-        assert cli.main(["trace", "calibrate", output, "-c", "NP", "PMS",
-                         "-n", "200"]) == 0
-        out = capsys.readouterr().out
-        assert "fidelity" in out
-        assert "exact sample(s)" in out  # the calibration record summary
 
     def test_fuzz_cli_json_reproducible(self, capsys):
         argv = ["fuzz", "--budget", "2", "--seed", "3", "-n", "250",

@@ -6,9 +6,12 @@ same spec, and a second session re-simulates nothing because every run
 is served from the on-disk store.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import runner, store
+from repro.system.presets import make_config
 
 ACCESSES = 1200
 BENCHMARKS = ("tonto", "milc")
@@ -100,6 +103,22 @@ class TestStoreAcrossSessions:
             store, "config_fingerprint", lambda config: "deadbeef"
         )
         assert runner.preload_store() == 0
+
+    def test_preload_skips_leftover_fast_entries(self):
+        # Stores written while a fast analytic tier existed hold its
+        # predictions under specs with extra "fidelity"/"fast_model"
+        # keys; preloading one must not seed the exact cache key.
+        exact = runner.run("tonto", "NP", accesses=ACCESSES, use_store=False)
+        config = make_config("NP")
+        spec = store.job_spec("tonto", "NP", ACCESSES, runner.default_seed(),
+                              1, "ahb", None, config)
+        spec.update(fidelity="fast", fast_model=1)
+        prediction = replace(exact, cycles=exact.cycles * 2)
+        store.get_store().put(spec, prediction)
+        runner.clear_cache()
+        assert runner.preload_store() == 0
+        assert runner.run("tonto", "NP", accesses=ACCESSES) == exact
+        assert runner.cache_info()["simulated"] == 1
 
     def test_mutated_runs_round_trip_via_read_through(self):
         def degrade(config):

@@ -89,37 +89,6 @@ class TestScoping:
         assert findings[0].symbol == "pick"
 
 
-class TestFastsimScope:
-    """repro.fastsim is in the determinism scope (docs/fidelity.md):
-    the analytic model feeds the same stores and plots as the
-    simulator, so every DET rule must fire on a violating fastsim
-    module exactly as it does under repro/controller/."""
-
-    @pytest.fixture(scope="class")
-    def fastsim_tree(self):
-        return mount(("det_violations.py", "src/repro/fastsim/model_bad.py"))
-
-    def test_det001_wallclock_fires(self, fastsim_tree):
-        findings = WallClockRule().check(fastsim_tree)
-        assert len(findings) == 2
-        assert all(f.rule == "DET001" for f in findings)
-
-    def test_det002_unseeded_random_fires(self, fastsim_tree):
-        findings = UnseededRandomRule().check(fastsim_tree)
-        assert sorted(f.line for f in findings) == [16, 17]
-        assert all(f.rule == "DET002" for f in findings)
-
-    def test_det003_urandom_fires(self, fastsim_tree):
-        findings = UrandomRule().check(fastsim_tree)
-        assert len(findings) == 1
-        assert findings[0].rule == "DET003"
-
-    def test_det004_set_iteration_fires(self, fastsim_tree):
-        findings = SetIterationRule().check(fastsim_tree)
-        assert len(findings) == 3
-        assert all(f.rule == "DET004" for f in findings)
-
-
 class TestRealTreeClean:
     @pytest.mark.parametrize(
         "rule_cls",

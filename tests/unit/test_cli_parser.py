@@ -139,23 +139,17 @@ class TestLintSubcommand:
         assert args.write_registry
 
 
-class TestFidelityFlags:
-    def test_sweep_fidelity_default_exact(self):
-        args = _build_parser().parse_args(["sweep", "-b", "milc"])
-        assert args.fidelity == "exact"
+class TestRemovedFastTier:
+    """The fast analytic tier is gone; its flags and verbs must fail."""
 
-    def test_sweep_fidelity_choices(self):
-        for tier in ("exact", "fast", "auto"):
-            args = _build_parser().parse_args(
-                ["sweep", "-b", "milc", "--fidelity", tier]
-            )
-            assert args.fidelity == tier
-
-    def test_sweep_fidelity_rejects_unknown(self):
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "-b", "milc", "--fidelity", "exact"],
+        ["trace", "calibrate", "t.trace"],
+        ["fuzz", "--objective", "fidelity"],
+    ], ids=["sweep-fidelity", "trace-calibrate", "fuzz-fidelity"])
+    def test_rejected_by_argparse(self, argv):
         with pytest.raises(SystemExit):
-            _build_parser().parse_args(
-                ["sweep", "-b", "milc", "--fidelity", "approximate"]
-            )
+            _build_parser().parse_args(argv)
 
 
 class TestTraceSubcommands:
@@ -188,16 +182,6 @@ class TestTraceSubcommands:
                 ["trace", "convert", "in.vcd", "-o", "o", "--format", "vcd"]
             )
 
-    def test_calibrate_flags(self):
-        args = _build_parser().parse_args(
-            ["trace", "calibrate", "t.trace", "-c", "NP", "PMS",
-             "-n", "500", "-j", "2"]
-        )
-        assert args.trace_command == "calibrate"
-        assert args.file == "t.trace"
-        assert args.configs == ["NP", "PMS"]
-        assert args.accesses == 500
-        assert args.jobs == 2
 
     def test_trace_requires_subcommand(self):
         with pytest.raises(SystemExit):

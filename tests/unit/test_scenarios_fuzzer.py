@@ -8,6 +8,7 @@ import pytest
 from repro.scenarios.fuzzer import report_path, run_fuzz, save_report
 from repro.scenarios.objectives import OBJECTIVES, get_objective
 from repro.scenarios.space import FuzzSpace, candidate_name
+from repro.system.presets import make_config
 from repro.system.results import RunResult
 from repro.workloads.dynamic import resolve_workload, workload_benchmark
 
@@ -69,7 +70,7 @@ class TestFuzzSpace:
 
 class TestObjectives:
     def test_registry_names(self):
-        assert sorted(OBJECTIVES) == ["fidelity", "regret", "waste"]
+        assert sorted(OBJECTIVES) == ["regret", "waste"]
 
     def test_get_objective_unknown(self):
         with pytest.raises(ValueError, match="unknown objective"):
@@ -77,39 +78,31 @@ class TestObjectives:
 
     def test_waste_score_rises_as_usefulness_falls(self):
         waste = OBJECTIVES["waste"]
-        useful = waste.score({("PMS", "exact"): result(read_hits=90.0)})
-        useless = waste.score({("PMS", "exact"): result(read_hits=5.0)})
+        useful = waste.score({"PMS": result(read_hits=90.0)})
+        useless = waste.score({"PMS": result(read_hits=5.0)})
         assert useless > useful
 
     def test_waste_score_zero_without_inserts(self):
         waste = OBJECTIVES["waste"]
         assert waste.score(
-            {("PMS", "exact"): result(inserts=0.0, read_hits=0.0)}
+            {"PMS": result(inserts=0.0, read_hits=0.0)}
         ) == 0.0
 
     def test_regret_positive_when_adaptive_loses(self):
         regret = OBJECTIVES["regret"]
-        grid = {("PMS", "exact"): result(cycles=1200)}
+        grid = {"PMS": result(cycles=1200)}
         for k in range(1, 6):
-            grid[(f"PMS_POLICY{k}", "exact")] = result(
+            grid[f"PMS_POLICY{k}"] = result(
                 config=f"PMS_POLICY{k}", cycles=1000 + k
             )
         # best fixed policy is PMS_POLICY1 at 1001 cycles
         assert regret.score(grid) == pytest.approx((1200 / 1001 - 1) * 100)
 
-    def test_fidelity_score_is_worst_metric_error(self):
-        fidelity = OBJECTIVES["fidelity"]
-        grid = {
-            ("PMS", "fast"): result(cycles=1100),
-            ("PMS", "exact"): result(cycles=1000),
-        }
-        assert fidelity.score(grid) >= 0.0999
-
     def test_every_objective_declares_cells(self):
         for objective in OBJECTIVES.values():
             assert objective.cells
-            for config, tier in objective.cells:
-                assert tier in ("exact", "fast")
+            for config in objective.cells:
+                make_config(config)  # every cell names a real preset
 
 
 class TestRunFuzz:

@@ -1,5 +1,6 @@
 """Unit tests for the content-addressed on-disk result store."""
 
+import hashlib
 import json
 import os
 
@@ -219,65 +220,47 @@ class TestEnvironment:
 
 
 class TestFidelityPayload:
-    """The result codec and key discipline for the fast tier
-    (docs/fidelity.md)."""
-
-    def fidelity_record(self):
-        return {
-            "tier": "fast",
-            "model_version": 1,
-            "error_bars": {"cycles": 0.051, "coverage": 0.031},
-            "calibration": {
-                "samples": 3,
-                "fraction": 0.2,
-                "model_version": 1,
-                "errors": {"cycles": {"max": 0.04, "mean": 0.02,
-                                      "bound": 0.051}},
-            },
-        }
-
-    def test_codec_round_trips_the_fidelity_field(self):
-        result = sample_result(fidelity=self.fidelity_record())
-        decoded = store.decode_result(store.encode_result(result))
-        assert decoded == result
-        assert decoded.fidelity["error_bars"]["cycles"] == 0.051
+    """Results and specs carry no fidelity tier: payloads and keys keep
+    the exact shape, so pre-existing store entries stay addressable."""
 
     def test_round_trip_through_json_text(self):
-        result = sample_result(fidelity=self.fidelity_record())
+        result = sample_result()
         payload = json.loads(json.dumps(store.encode_result(result)))
+        assert "fidelity" not in payload
         assert store.decode_result(payload) == result
 
     def test_exact_payloads_omit_the_key(self):
         assert "fidelity" not in store.encode_result(sample_result())
-
-    def test_store_round_trip_preserves_error_bars(self, tmp_path):
-        active = store.ResultStore(str(tmp_path))
-        spec = store.job_spec("tpcc", "PMS", 2000, 1, 1, "ahb", None,
-                              make_config("PMS"), fidelity="fast")
-        result = sample_result(fidelity=self.fidelity_record())
-        active.put(spec, result)
-        fetched = active.get(spec)
-        assert fetched == result
-        assert fetched.error_bar("cycles") == 0.051
-        assert fetched.fidelity_tier == "fast"
 
     def test_exact_spec_shape_is_unchanged(self):
         # pre-existing store entries must stay addressable
         spec = sample_spec()
         assert "fidelity" not in spec and "fast_model" not in spec
 
-    def test_fast_spec_keys_cover_the_model_version(self, monkeypatch):
-        from repro.fastsim import version as fv
-        config = make_config("PMS")
-        spec_v1 = store.job_spec("tpcc", "PMS", 2000, 1, 1, "ahb", None,
-                                 config, fidelity="fast")
-        monkeypatch.setattr(fv, "FAST_MODEL_VERSION",
-                            fv.FAST_MODEL_VERSION + 1)
-        spec_v2 = store.job_spec("tpcc", "PMS", 2000, 1, 1, "ahb", None,
-                                 config, fidelity="fast")
-        assert store.job_key(spec_v1) != store.job_key(spec_v2)
 
-    def test_unknown_fidelity_rejected(self):
-        with pytest.raises(ValueError, match="fidelity"):
-            store.job_spec("tpcc", "PMS", 2000, 1, 1, "ahb", None,
-                           make_config("PMS"), fidelity="approximate")
+class TestExactIdentity:
+    """Store identity of one fixed exact job, pinned to recorded values.
+
+    Entries written by earlier versions must stay addressable and
+    byte-identical: the key is SHA-256 over the canonical spec, and the
+    entry digest is SHA-256 over the canonical ``encode_result`` JSON.
+    """
+
+    KEY = "ec19529ef08c549c7cb27e9da0c8b29af99a23da2f499f061b14d8d812de5f20"
+    ENTRY_SHA256 = (
+        "2dad0a987b6dcd34762bdb837d63e89f65c31df6827c8743d777dfa61290ef69"
+    )
+
+    def test_job_key_and_entry_digest_are_pinned(self):
+        from repro.experiments import runner
+
+        spec = store.job_spec("milc", "PMS", 1500, 11, 1, "ahb", None,
+                              make_config("PMS"))
+        assert store.job_key(spec) == self.KEY
+        result = runner.run("milc", "PMS", accesses=1500, seed=11,
+                            use_store=False)
+        text = json.dumps(store.encode_result(result), sort_keys=True,
+                          separators=(",", ":"))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            self.ENTRY_SHA256
+        )

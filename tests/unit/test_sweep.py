@@ -134,9 +134,12 @@ class TestSweepStatsSummary:
     def test_no_store_activity_no_store_section(self):
         assert "store:" not in sweep.SweepStats(total=2, from_cache=2).summary()
 
-    def test_describe_is_an_alias(self):
-        stats = sweep.SweepStats(total=1, from_cache=1)
-        assert stats.describe() == stats.summary()
+    def test_merge_sums_counterwise(self):
+        a = sweep.SweepStats(total=2, executed_serial=2, store_puts=1)
+        b = sweep.SweepStats(total=3, from_store=3, retries=1, store_puts=2)
+        a.merge(b)
+        assert (a.total, a.executed_serial, a.from_store, a.retries,
+                a.store_puts) == (5, 2, 3, 1, 3)
 
     def test_run_jobs_populates_store_delta(self):
         out = sweep.run_jobs([sweep.Job("tonto", "NP", accesses=ACCESSES)])
@@ -201,79 +204,3 @@ class TestRobustness:
         runner.clear_cache()
         out = sweep.run_jobs([sweep.Job("tonto", "NP", accesses=ACCESSES)])
         assert out.stats.from_store == 1
-
-
-class TestFidelityPlumbing:
-    def test_job_rejects_unknown_fidelity(self):
-        with pytest.raises(ValueError, match="fidelity"):
-            sweep.Job("tonto", "NP", accesses=ACCESSES,
-                      fidelity="approximate").resolve()
-
-    def test_job_rejects_auto_pointing_at_orchestrator(self):
-        # "auto" is a sweep policy, not a per-job tier
-        with pytest.raises(ValueError, match="orchestrator"):
-            sweep.Job("tonto", "NP", accesses=ACCESSES,
-                      fidelity="auto").resolve()
-
-    def test_fast_and_exact_jobs_have_distinct_identities(self):
-        exact = sweep.prepare(sweep.Job("tonto", "NP", accesses=ACCESSES))
-        fast = sweep.prepare(
-            sweep.Job("tonto", "NP", accesses=ACCESSES, fidelity="fast")
-        )
-        assert exact[1] != fast[1]                        # cache key
-        assert store.job_key(exact[2]) != store.job_key(fast[2])
-        assert "fidelity" not in exact[2]                 # legacy shape
-        assert fast[2]["fidelity"] == "fast"
-        assert "fast_model" in fast[2]
-
-    def test_compute_job_dispatches_on_tier(self):
-        job, _key, _spec, config = sweep.prepare(
-            sweep.Job("tonto", "NP", accesses=ACCESSES)
-        )
-        exact = sweep.compute_job(config, job.benchmark, job.accesses,
-                                  job.seed, job.threads, "exact")
-        fast = sweep.compute_job(config, job.benchmark, job.accesses,
-                                 job.seed, job.threads, "fast")
-        assert exact.fidelity is None
-        assert fast.fidelity_tier == "fast"
-
-    def test_run_jobs_counts_tiers(self):
-        out = sweep.run_jobs([
-            sweep.Job("tonto", "NP", accesses=ACCESSES),
-            sweep.Job("tonto", "NP", accesses=ACCESSES, fidelity="fast"),
-        ])
-        assert out.stats.exact_jobs == 1
-        assert out.stats.fast_jobs == 1
-        assert out.results[0].fidelity is None
-        assert out.results[1].fidelity_tier == "fast"
-
-    def test_fast_tier_parallel_equals_serial(self):
-        specs = [
-            sweep.Job(b, c, accesses=ACCESSES, fidelity="fast")
-            for b in ("tonto", "milc") for c in ("NP", "PMS")
-        ]
-        serial = sweep.run_jobs(specs, use_store=False)
-        runner.clear_cache()
-        parallel = sweep.run_jobs(specs, jobs=2, use_store=False)
-        assert serial.results == parallel.results
-
-
-class TestSweepStatsFidelity:
-    def test_describe_reports_breakdown_when_fast_ran(self):
-        stats = sweep.SweepStats(total=10, executed_serial=10,
-                                 fast_jobs=8, exact_jobs=2, validated=2)
-        assert stats.describe().endswith(
-            "; fidelity: 8 fast / 2 exact, 2 validated"
-        )
-
-    def test_describe_unchanged_for_pure_exact_sweeps(self):
-        stats = sweep.SweepStats(total=3, executed_serial=3, exact_jobs=3)
-        assert "fidelity" not in stats.describe()
-        assert stats.describe() == stats.summary()
-
-    def test_merge_sums_counterwise(self):
-        a = sweep.SweepStats(total=2, fast_jobs=2, store_puts=1)
-        b = sweep.SweepStats(total=3, exact_jobs=3, validated=2, store_puts=2)
-        a.merge(b)
-        assert (a.total, a.fast_jobs, a.exact_jobs, a.validated,
-                a.store_puts) == (5, 2, 3, 2, 3)

@@ -28,7 +28,6 @@ from repro.perf import (
     DEFAULT_FAIL_THRESHOLD,
     compare_reports,
     load_report,
-    measure_fast_vs_exact,
     measure_suite,
     write_report,
 )
@@ -80,12 +79,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         help="allowed fractional drop of the event/reference speedup "
         "(default %(default)s)",
     )
-    parser.add_argument(
-        "--no-fast",
-        action="store_true",
-        help="skip the fast-vs-exact analytic-model measurement "
-        "(docs/fidelity.md)",
-    )
     return parser.parse_args(argv)
 
 
@@ -117,26 +110,6 @@ def main(argv=None) -> int:
     ratio = report.get("speedup_vs_reference")
     if ratio is not None:
         print(f"{'speedup':>10}: {ratio:.3f}x (event vs reference)")
-
-    if not args.no_fast:
-        fast = measure_fast_vs_exact(
-            args.suite,
-            configs=configs,
-            accesses=accesses,
-            benchmarks=benchmarks,
-            threads=args.threads,
-            seed=args.seed,
-        )
-        report["fast_vs_exact"] = fast
-        bars = ", ".join(
-            f"{metric} ±{bound * 100:.1f}%"
-            for metric, bound in sorted(fast["error_bars"].items())
-        )
-        print(
-            f"{'fast':>10}: {fast['speedup']:.1f}x over exact "
-            f"({fast['jobs']} jobs, {fast['fast_wall_seconds']:.2f}s vs "
-            f"{fast['exact_wall_seconds']:.2f}s); error bars: {bars}"
-        )
 
     if args.output:
         write_report(args.output, report)
