@@ -8,14 +8,15 @@ to the registry and parity rules:
 * through the hot-path raw mapping — ``values["key"] += 1`` where
   ``values`` aliases ``self._stat_values = self.stats.raw()``;
 * with dynamic keys — f-strings (``f"pb_hits_{cmd.provenance.value}"``),
-  module-level key tables (``values[_PB_HIT_KEYS[cmd.provenance]]``)
-  and other precomputed names (``values[k_sum] += latency``).
+  module-level key tables (``values[_PB_HIT_KEYS[is_ps]]``) and other
+  precomputed names (``values[k_sum] += latency``).
 
 This module resolves those shapes per file into :class:`KeyUse`
 records.  F-string keys whose every placeholder ranges over the
 :class:`~repro.common.types.Provenance` enum are expanded into the full
-literal key set, and so is a subscript of a module-level dict whose
-values are all such keys (a dict display or comprehension); other
+literal key set, and so is a subscript of a module-level table whose
+entries are all such keys (a dict display or comprehension, or
+``tuple(...)`` of a generator); other
 f-strings contribute their literal head as a *prefix*.  Keys the AST cannot bound at all are ``dynamic`` and must be
 waived with ``# lint: stats-dynamic``, usually next to a
 ``# lint: stat-prefixes(...)`` pragma declaring what they produce.
@@ -90,7 +91,7 @@ class _FileScan(ast.NodeVisitor):
         self._local_stats: Set[str] = set()
         self._local_raw: Set[str] = set()
         self._local_methods: Dict[str, str] = {}  # name -> bump|set
-        # module-level dicts whose values are all literal keys
+        # module-level tables whose entries are all literal keys
         self.key_tables: Dict[str, Tuple[str, ...]] = {}
 
     # -- pre-pass -----------------------------------------------------
@@ -116,9 +117,19 @@ class _FileScan(ast.NodeVisitor):
                 self.raw_attrs.add(target.attr)
 
     def _table_keys(self, node: ast.AST) -> Tuple[str, ...]:
-        """Every key a dict display/comprehension maps to, when all of
-        its values are literal keys; empty otherwise."""
-        if isinstance(node, ast.DictComp):
+        """Every key a table holds, when all of its entries are literal
+        keys; empty otherwise.  A table is a dict display or
+        comprehension (its values) or ``tuple(...)`` of a generator."""
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "tuple"
+            and len(node.args) == 1
+            and not node.keywords
+            and isinstance(node.args[0], ast.GeneratorExp)
+        ):
+            values = [node.args[0].elt]
+        elif isinstance(node, ast.DictComp):
             values = [node.value]
         elif isinstance(node, ast.Dict) and node.values:
             values = node.values

@@ -2,14 +2,13 @@
 
 Lines are identified by their global line address; the set index is the
 low bits of the line address and the remainder is the tag.  The cache
-tracks dirty bits and reports evictions so a write-back hierarchy can
-turn dirty victims into DRAM writes.
+tracks dirty bits and reports each eviction as a plain ``(line, dirty)``
+pair so a write-back hierarchy can turn dirty victims into DRAM writes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cache.replacement import (
     LRUPolicy,
@@ -18,14 +17,6 @@ from repro.cache.replacement import (
 )
 from repro.common.config import CacheConfig
 from repro.common.stats import Stats
-
-
-@dataclass(frozen=True, slots=True)
-class Eviction:
-    """A line pushed out of the cache by a fill."""
-
-    line: int
-    dirty: bool
 
 
 class Cache:
@@ -82,8 +73,9 @@ class Cache:
             self._dirty[s][way] = True
         return True
 
-    def fill(self, line: int, dirty: bool = False) -> Optional[Eviction]:
-        """Install ``line``; returns the eviction it caused, if any.
+    def fill(self, line: int, dirty: bool = False) -> Optional[Tuple[int, bool]]:
+        """Install ``line``; returns the ``(line, dirty)`` pair of the
+        victim it pushed out, if any.
 
         Filling a line that is already present only updates recency and
         ORs in the dirty bit (a prefetch fill must not lose a dirty bit).
@@ -110,10 +102,11 @@ class Cache:
         else:
             way = self.policy.victim(s)
             old_line = lines[way]
-            evicted = Eviction(old_line, dirty_map.get(way, False))
+            old_dirty = dirty_map.get(way, False)
+            evicted = (old_line, old_dirty)
             del where[old_line]
             values["evictions"] += 1
-            if evicted.dirty:
+            if old_dirty:
                 values["dirty_evictions"] += 1
         lines[way] = line
         dirty_map[way] = dirty

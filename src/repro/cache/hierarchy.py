@@ -2,8 +2,11 @@
 
 The hierarchy answers two questions for the core: *where did this access
 hit* (which fixes its latency) and *which dirty lines fell out to memory*
-(which become DRAM writes).  Demand fills from memory and processor-side
-prefetch fills come back through :meth:`CacheHierarchy.fill_from_memory`.
+(which become DRAM writes).  :meth:`CacheHierarchy.access` returns the
+first as a plain ``(level, latency_cpu)`` pair and appends the second to
+a list the caller passes in.  Demand fills from memory and
+processor-side prefetch fills come back through
+:meth:`CacheHierarchy.fill_from_memory`.
 
 Store misses use write-validate allocation: the line is installed dirty
 without fetching it from DRAM.  This keeps the core from stalling on
@@ -14,8 +17,7 @@ evictions — see DESIGN.md Section 5.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, MutableSequence, Optional, Tuple
 
 from repro.cache.cache import Cache
 from repro.common.config import HierarchyConfig
@@ -31,20 +33,6 @@ class Level(enum.Enum):
     MEMORY = 4
 
 
-@dataclass(slots=True)
-class AccessResult:
-    """Outcome of one demand access.
-
-    ``latency_cpu`` is meaningful for cache hits; for ``Level.MEMORY`` the
-    latency is determined later by the memory controller.  ``writebacks``
-    lists dirty L3 victims that must become DRAM writes.
-    """
-
-    level: Level
-    latency_cpu: int
-    writebacks: List[int] = field(default_factory=list)
-
-
 class CacheHierarchy:
     """L1D + shared L2 + off-chip L3, write-back, write-validate stores."""
 
@@ -57,56 +45,81 @@ class CacheHierarchy:
         self.stats = Stats()
         # hot path: access() adds straight into the counter mapping
         self._stat_values = self.stats.raw()
+        # access() outcomes, built once: (level, latency_cpu)
+        self._l1_hit = (Level.L1, config.l1.latency)
+        self._l2_hit = (Level.L2, config.l2.latency)
+        self._l3_hit = (Level.L3, config.l3.latency)
+        self._read_miss = (Level.MEMORY, 0)
+        self._write_miss = (Level.MEMORY, config.l2.latency)
 
     # ------------------------------------------------------------------
     # internal fill plumbing
     # ------------------------------------------------------------------
-    def _fill_l3(self, line: int, dirty: bool, writebacks: List[int]) -> None:
+    def _fill_l3(
+        self, line: int, dirty: bool, writebacks: MutableSequence[int]
+    ) -> None:
         ev = self.l3.fill(line, dirty)
-        if ev is not None and ev.dirty:
-            writebacks.append(ev.line)
+        if ev is not None and ev[1]:
+            writebacks.append(ev[0])
 
-    def _fill_l2(self, line: int, dirty: bool, writebacks: List[int]) -> None:
+    def _fill_l2(
+        self, line: int, dirty: bool, writebacks: MutableSequence[int]
+    ) -> None:
         # The L3 is a victim cache of the L2 (Power5 castout path): every
         # L2 victim, clean or dirty, is installed in the L3.
         ev = self.l2.fill(line, dirty)
         if ev is not None:
-            self._fill_l3(ev.line, ev.dirty, writebacks)
+            self._fill_l3(ev[0], ev[1], writebacks)
 
-    def _fill_l1(self, line: int, dirty: bool, writebacks: List[int]) -> None:
+    def _fill_l1(
+        self, line: int, dirty: bool, writebacks: MutableSequence[int]
+    ) -> None:
         ev = self.l1.fill(line, dirty)
-        if ev is not None and ev.dirty:
-            self._fill_l2(ev.line, True, writebacks)
+        if ev is not None and ev[1]:
+            self._fill_l2(ev[0], True, writebacks)
 
     # ------------------------------------------------------------------
     # demand path
     # ------------------------------------------------------------------
-    def access(self, line: int, write: bool = False) -> AccessResult:
-        """One demand load/store at line granularity."""
-        writebacks: List[int] = []
+    def access(
+        self,
+        line: int,
+        write: bool = False,
+        writebacks: Optional[MutableSequence[int]] = None,
+    ) -> Tuple[Level, int]:
+        """One demand load/store at line granularity.
+
+        Returns ``(level, latency_cpu)``: where the access was satisfied
+        and, for a cache hit, its latency.  For ``Level.MEMORY`` the
+        latency is determined later by the memory controller.  Dirty L3
+        victims that must become DRAM writes are appended to
+        ``writebacks`` (a list or deque); without one they are dropped.
+        """
         values = self._stat_values
         if self.l1.lookup(line, write):
             values["l1_hits"] += 1
-            return AccessResult(Level.L1, self.config.l1.latency, writebacks)
+            return self._l1_hit
 
+        if writebacks is None:
+            writebacks = []
         if self.l2.lookup(line):
             values["l2_hits"] += 1
             self._fill_l1(line, write, writebacks)
-            return AccessResult(Level.L2, self.config.l2.latency, writebacks)
+            return self._l2_hit
 
         if self.l3.lookup(line):
             values["l3_hits"] += 1
             self._fill_l2(line, False, writebacks)
             self._fill_l1(line, write, writebacks)
-            return AccessResult(Level.L3, self.config.l3.latency, writebacks)
+            return self._l3_hit
 
         values["memory_accesses"] += 1
         if write:
             # write-validate: install dirty without a memory read
             self._fill_l1(line, True, writebacks)
             values["write_validates"] += 1
-            return AccessResult(Level.MEMORY, self.config.l2.latency, writebacks)
-        return AccessResult(Level.MEMORY, 0, writebacks)
+            return self._write_miss
+        return self._read_miss
 
     def fill_from_memory(self, line: int, to_l1: bool = True) -> List[int]:
         """Install a line that arrived from DRAM; returns dirty L3 victims.
@@ -119,13 +132,13 @@ class CacheHierarchy:
         # completion
         ev = self.l2.fill(line, False)
         if ev is not None:
-            ev = self.l3.fill(ev.line, ev.dirty)
-            if ev is not None and ev.dirty:
-                writebacks.append(ev.line)
+            ev = self.l3.fill(ev[0], ev[1])
+            if ev is not None and ev[1]:
+                writebacks.append(ev[0])
         if to_l1:
             ev = self.l1.fill(line, False)
-            if ev is not None and ev.dirty:
-                self._fill_l2(ev.line, True, writebacks)
+            if ev is not None and ev[1]:
+                self._fill_l2(ev[0], True, writebacks)
         return writebacks
 
     # ------------------------------------------------------------------

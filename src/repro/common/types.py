@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from typing import Optional
 
 #: Cache line size in bytes (Power5+ L2/L3 line size).
 LINE_SIZE = 128
@@ -65,13 +65,20 @@ class Direction(enum.Enum):
 
 _command_ids = itertools.count()
 
+# enum members bound once (docs/performance.md, hot-path conventions)
+_READ = CommandKind.READ
+_WRITE = CommandKind.WRITE
+_DEMAND = Provenance.DEMAND
+_MS_PREFETCH = Provenance.MS_PREFETCH
 
-@dataclass(slots=True)
+
 class MemoryCommand:
     """One line-granularity command flowing through the memory controller.
 
     Slotted: tens of thousands are allocated per run, and the
-    controller's hot loops read their fields every cycle.
+    controller's hot loops read their fields every cycle.  The flags
+    derived from ``kind`` and ``provenance`` are computed once here, at
+    construction; neither field is reassigned afterwards.
 
     Attributes:
         kind: READ or WRITE.
@@ -81,26 +88,41 @@ class MemoryCommand:
         arrival: MC cycle at which the command entered the controller
             (also the timestamp used by scheduling policy 5).
         uid: unique, monotonically increasing id (tie-breaker / debugging).
+        is_read: ``kind is CommandKind.READ``.
+        is_write: ``kind is CommandKind.WRITE``.
+        is_ms_prefetch: ``provenance is Provenance.MS_PREFETCH``.
     """
 
-    kind: CommandKind
-    line: int
-    thread: int = 0
-    provenance: Provenance = Provenance.DEMAND
-    arrival: int = 0
-    uid: int = field(default_factory=_command_ids.__next__)
+    __slots__ = (
+        "kind",
+        "line",
+        "thread",
+        "provenance",
+        "arrival",
+        "uid",
+        "is_read",
+        "is_write",
+        "is_ms_prefetch",
+    )
 
-    @property
-    def is_read(self) -> bool:
-        return self.kind is CommandKind.READ
-
-    @property
-    def is_write(self) -> bool:
-        return self.kind is CommandKind.WRITE
-
-    @property
-    def is_ms_prefetch(self) -> bool:
-        return self.provenance is Provenance.MS_PREFETCH
+    def __init__(
+        self,
+        kind: CommandKind,
+        line: int,
+        thread: int = 0,
+        provenance: Provenance = _DEMAND,
+        arrival: int = 0,
+        uid: Optional[int] = None,
+    ) -> None:
+        self.kind = kind
+        self.line = line
+        self.thread = thread
+        self.provenance = provenance
+        self.arrival = arrival
+        self.uid = next(_command_ids) if uid is None else uid
+        self.is_read = kind is _READ
+        self.is_write = kind is _WRITE
+        self.is_ms_prefetch = provenance is _MS_PREFETCH
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -25,7 +25,7 @@ from typing import Callable, List, Optional, Set, Tuple
 
 from repro.common.config import ControllerConfig
 from repro.common.stats import Stats
-from repro.common.types import CommandKind, MemoryCommand, Provenance
+from repro.common.types import MemoryCommand, Provenance
 from repro.controller.queues import CommandQueue, ReorderQueues
 from repro.controller.schedulers import build_scheduler
 from repro.controller.schedulers.base import Scheduler
@@ -41,25 +41,36 @@ ReadCallback = Callable[[MemoryCommand, int], None]
 #: Ticks between QueueDepthSample events on an enabled tracer.
 QUEUE_SAMPLE_INTERVAL = 256
 
-#: Per-provenance latency counter names, precomputed so completion
-#: delivery (one of the hottest paths) never builds strings.  The
-#: histogram entry is indexed by ``latency.bit_length()``: bucket b
-#: counts latencies in [2^b, 2^(b+1)), and bucket 0 also holds
-#: 0-cycle responses, so indices 0 and 1 both name bucket 0.
+# enum members bound once (docs/performance.md, hot-path conventions)
+_PS_PREFETCH = Provenance.PS_PREFETCH
+_MS_PREFETCH = Provenance.MS_PREFETCH
+
+#: Order of the per-provenance counter-name tables below.  Only regular
+#: reads reach completion delivery and the Prefetch Buffer check points,
+#: so the hot path indexes the tables with ``provenance is _PS_PREFETCH``
+#: (0 for demand, 1 for a processor-side prefetch) instead of hashing
+#: the enum member.
+_TABLE_ORDER = (Provenance.DEMAND, _PS_PREFETCH, _MS_PREFETCH)
+
+#: Latency counter names, precomputed so completion delivery (one of the
+#: hottest paths) never builds strings.  The histogram entry is indexed
+#: by ``latency.bit_length()``: bucket b counts latencies in
+#: [2^b, 2^(b+1)), and bucket 0 also holds 0-cycle responses, so
+#: indices 0 and 1 both name bucket 0.
 # lint: stat-prefixes(lat_sum_, lat_cnt_, lat_max_, lat_hist_)
-_LAT_KEYS = {
-    prov: (
+_LAT_KEYS = tuple(
+    (
         f"lat_sum_{prov.value}",
         f"lat_cnt_{prov.value}",
         f"lat_max_{prov.value}",
         tuple(f"lat_hist_{prov.value}_{max(b - 1, 0)}" for b in range(65)),
     )
-    for prov in Provenance
-}
+    for prov in _TABLE_ORDER
+)
 
-#: Per-provenance Prefetch Buffer hit and merge counter names.
-_PB_HIT_KEYS = {prov: f"pb_hits_{prov.value}" for prov in Provenance}
-_PB_MERGE_KEYS = {prov: f"pb_merges_{prov.value}" for prov in Provenance}
+#: Prefetch Buffer hit and merge counter names.
+_PB_HIT_KEYS = tuple(f"pb_hits_{prov.value}" for prov in _TABLE_ORDER)
+_PB_MERGE_KEYS = tuple(f"pb_merges_{prov.value}" for prov in _TABLE_ORDER)
 
 
 class MemoryController:
@@ -128,7 +139,7 @@ class MemoryController:
                 return False
             cmd.arrival = now
             values["reads_arrived"] += 1
-            if cmd.provenance is Provenance.PS_PREFETCH:
+            if cmd.provenance is _PS_PREFETCH:
                 values["reads_ps"] += 1
             else:
                 values["reads_demand"] += 1
@@ -284,28 +295,36 @@ class MemoryController:
         A per-cycle loop retries the refused head every wait cycle; the
         only side effect of those refusals is the Figure-13
         delayed-regular count, and it can fire only on the *first* wait
-        cycle (the bank hold that sets ``blocked_by`` never appears
-        mid-wait — ``held_until`` is frozen until the next issue).  The
-        event-driven loop calls this once per fast-forward jump with
-        the first skipped cycle.
+        cycle (a bank hold by a prefetch never appears mid-wait —
+        ``held_until`` is frozen until the next issue).  The event-driven
+        loop calls this once per fast-forward jump with the first
+        skipped cycle.
         """
+        self._count_refusal(cmd, now)
+
+    def _count_refusal(self, cmd: MemoryCommand, now: int) -> None:
+        """Figure 13: count a regular command that DRAM refused while a
+        memory-side prefetch held its bank, once per command.  A refusal
+        by the bus-lead limit alone finds the bank free and does not
+        count."""
         if cmd.is_ms_prefetch or cmd.uid in self._delayed_counted:
             return
-        if self.dram.bank_holder(cmd.line, now) is Provenance.MS_PREFETCH:
+        if self.dram.bank_holder(cmd.line, now) is _MS_PREFETCH:
             self._delayed_counted.add(cmd.uid)
-            self.stats.bump("delayed_regular")
+            self._stat_values["delayed_regular"] += 1
 
     def _deliver_completions(self, now: int) -> None:
         completions = self._completions
         values = self._stat_values
         while completions and completions[0][0] <= now:
             cmd = heapq.heappop(completions)[2]
-            provenance = cmd.provenance
-            if provenance is Provenance.MS_PREFETCH:
+            if cmd.is_ms_prefetch:
                 self.ms.notify_complete(cmd)
-            elif cmd.kind is CommandKind.READ:
+            elif cmd.is_read:
                 latency = now - cmd.arrival
-                k_sum, k_cnt, k_max, k_hist = _LAT_KEYS[provenance]
+                k_sum, k_cnt, k_max, k_hist = _LAT_KEYS[
+                    cmd.provenance is _PS_PREFETCH
+                ]
                 values[k_sum] += latency  # lint: stats-dynamic
                 values[k_cnt] += 1  # lint: stats-dynamic
                 if latency > values.get(k_max, 0):
@@ -337,13 +356,13 @@ class MemoryController:
             if ms.read_lookup(head.line):
                 caq_items.popleft()
                 values["pb_hits_caq"] += 1
-                values[_PB_HIT_KEYS[head.provenance]] += 1
+                values[_PB_HIT_KEYS[head.provenance is _PS_PREFETCH]] += 1
                 self._delayed_counted.discard(head.uid)
                 self._respond_at(head, now + self._pb_hit_delay)
             elif ms.try_merge(head):
                 caq_items.popleft()
                 values["pb_merges_caq"] += 1
-                values[_PB_MERGE_KEYS[head.provenance]] += 1
+                values[_PB_MERGE_KEYS[head.provenance is _PS_PREFETCH]] += 1
                 self._delayed_counted.discard(head.uid)
             else:
                 break
@@ -352,8 +371,8 @@ class MemoryController:
         cmd = self._final_choice(caq_items, lpq_items)
         if cmd is None:
             return
-        result = self.dram.try_issue(cmd, now)
-        if result.accepted:
+        completion = self.dram.try_issue(cmd, now)
+        if completion is not None:
             # the LPQ holds only memory-side prefetches, the CAQ none
             from_lpq = cmd.is_ms_prefetch
             if from_lpq:
@@ -361,7 +380,7 @@ class MemoryController:
             else:
                 caq_items.popleft()
             self.scheduler.notify_issue(cmd, self.dram)
-            self._respond_at(cmd, result.completion + self.config.overhead_mc_cycles)
+            self._respond_at(cmd, completion + self.config.overhead_mc_cycles)
             if from_lpq:
                 ms.notify_issue(cmd)
                 values["issued_prefetch"] += 1
@@ -374,14 +393,8 @@ class MemoryController:
                     self._pending_write_lines[cmd.line] = count - 1
             values["issued_regular"] += 1
             self._delayed_counted.discard(cmd.uid)
-        elif (
-            result.blocked_by is Provenance.MS_PREFETCH
-            and not cmd.is_ms_prefetch
-            and cmd.uid not in self._delayed_counted
-        ):
-            # Figure 13: a regular command delayed by a memory-side prefetch.
-            self._delayed_counted.add(cmd.uid)
-            values["delayed_regular"] += 1
+        else:
+            self._count_refusal(cmd, now)
 
     def _final_choice(self, caq_items, lpq_items) -> Optional[MemoryCommand]:
         """The CAQ or LPQ head the Final Scheduler offers DRAM, if any."""
@@ -425,7 +438,7 @@ class MemoryController:
         head_read = self._rq_items[0]
         if (
             head_read.uid not in self._conflict_counted
-            and self.dram.bank_holder(head_read.line, now) is Provenance.MS_PREFETCH
+            and self.dram.bank_holder(head_read.line, now) is _MS_PREFETCH
         ):
             self._conflict_counted.add(head_read.uid)
             self.ms.scheduler.record_conflict()
@@ -467,12 +480,12 @@ class MemoryController:
         if ms.read_lookup(cmd.line):
             # First Prefetch Buffer check: serve the read without DRAM.
             values["pb_hits_pre_caq"] += 1
-            values[_PB_HIT_KEYS[cmd.provenance]] += 1
+            values[_PB_HIT_KEYS[cmd.provenance is _PS_PREFETCH]] += 1
             self._respond_at(cmd, now + self._pb_hit_delay)
             return
         if ms.try_merge(cmd):
             values["pb_merges_pre_caq"] += 1
-            values[_PB_MERGE_KEYS[cmd.provenance]] += 1
+            values[_PB_MERGE_KEYS[cmd.provenance is _PS_PREFETCH]] += 1
             return
         caq_items.append(cmd)
 

@@ -28,6 +28,13 @@ from repro.telemetry.events import PrefetchDiscard
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.workloads.trace import Trace
 
+# enum members bound once (docs/performance.md, hot-path conventions)
+_READ = CommandKind.READ
+_WRITE = CommandKind.WRITE
+_PS_PREFETCH = Provenance.PS_PREFETCH
+_L1 = Level.L1
+_MEMORY = Level.MEMORY
+
 
 class _ThreadContext:
     __slots__ = (
@@ -179,9 +186,7 @@ class Core:
         """Push pending dirty-eviction writes to the MC; False = stalled."""
         while ctx.writebacks:
             line = ctx.writebacks[0]
-            cmd = MemoryCommand(
-                CommandKind.WRITE, line, thread=ctx.tid, arrival=now
-            )
+            cmd = MemoryCommand(_WRITE, line, ctx.tid, arrival=now)
             if not self.controller.enqueue(cmd, now):
                 return False
             ctx.writebacks.popleft()
@@ -195,31 +200,27 @@ class Core:
             return
         ctx.pending = None
 
-        result = self.hierarchy.access(line, is_write)
-        if result.writebacks:
-            ctx.writebacks.extend(result.writebacks)
+        # dirty L3 victims land straight in the thread's writeback queue
+        level, latency_cpu = self.hierarchy.access(line, is_write, ctx.writebacks)
 
-        miss_to_memory = result.level is Level.MEMORY
-        if miss_to_memory and not is_write:
+        if level is _MEMORY and not is_write:
             if line in self._ps_inflight or line in self._waiters:
                 # merge with the in-flight fetch of the same line
                 self._waiters.setdefault(line, []).append(ctx)
                 ctx.outstanding.add(line)
-                self.stats.bump("demand_merged")
+                self._stat_values["demand_merged"] += 1
                 if len(ctx.outstanding) >= self.config.mlp:
                     ctx.blocked_mem = True
             else:
-                cmd = MemoryCommand(
-                    CommandKind.READ, line, thread=ctx.tid, arrival=now
-                )
+                cmd = MemoryCommand(_READ, line, ctx.tid, arrival=now)
                 if not self._issue_demand(ctx, cmd, now):
                     ctx.retry_demand = cmd
         elif not is_write:
             # cache hit: charge the level's latency as additional stall
-            ctx.stall_cpu += max(0, result.latency_cpu - 1)
+            ctx.stall_cpu += max(0, latency_cpu - 1)
         # stores never stall the core beyond their 1 issue cycle
 
-        self._drive_ps(ctx, line, result.level, now)
+        self._drive_ps(ctx, line, level is _L1, now)
 
     def _issue_demand(self, ctx: _ThreadContext, cmd: MemoryCommand, now: int) -> bool:
         if not self.controller.enqueue(cmd, now):
@@ -232,42 +233,36 @@ class Core:
         return True
 
     # ------------------------------------------------------------------
-    def _drive_ps(self, ctx: _ThreadContext, line: int, level: Level, now: int) -> None:
+    def _drive_ps(self, ctx: _ThreadContext, line: int, l1_hit: bool, now: int) -> None:
         if not self.ps.enabled:
             return
-        requests = self.ps.observe(line, l1_hit=level is Level.L1)
-        for req in requests:
-            if req.line < 0:
+        values = self._stat_values
+        for target, to_l1 in self.ps.observe(line, l1_hit):
+            if target < 0:
                 continue
-            if req.line in self._ps_inflight or req.line in self._waiters:
-                self.stats.bump("ps_dropped_inflight")
+            if target in self._ps_inflight or target in self._waiters:
+                values["ps_dropped_inflight"] += 1
                 continue
-            if self.hierarchy.cached_anywhere(req.line):
-                self.stats.bump("ps_dropped_cached")
+            if self.hierarchy.cached_anywhere(target):
+                values["ps_dropped_cached"] += 1
                 continue
-            cmd = MemoryCommand(
-                CommandKind.READ,
-                req.line,
-                thread=ctx.tid,
-                provenance=Provenance.PS_PREFETCH,
-                arrival=now,
-            )
+            cmd = MemoryCommand(_READ, target, ctx.tid, _PS_PREFETCH, now)
             if self.controller.enqueue(cmd, now):
-                self._ps_inflight[req.line] = req.to_l1
-                self._stat_values["ps_issued"] += 1
+                self._ps_inflight[target] = to_l1
+                values["ps_issued"] += 1
             else:
-                self.stats.bump("ps_dropped_queue")
+                values["ps_dropped_queue"] += 1
                 if self.tracer.enabled:
                     self.tracer.emit(
                         PrefetchDiscard(
-                            t=now, line=req.line, reason="ps_queue_full"
+                            t=now, line=target, reason="ps_queue_full"
                         )
                     )
 
     # ------------------------------------------------------------------
     def _on_read_complete(self, cmd: MemoryCommand, now: int) -> None:
         line = cmd.line
-        if cmd.provenance is Provenance.PS_PREFETCH:
+        if cmd.provenance is _PS_PREFETCH:
             to_l1 = self._ps_inflight.pop(line, True)
             writebacks = self.hierarchy.fill_from_memory(line, to_l1=to_l1)
             self.ps.notify_fill(line, to_l1)

@@ -3,7 +3,9 @@
 The controller's Final Scheduler calls :meth:`DRAMDevice.try_issue` with
 one :class:`~repro.common.types.MemoryCommand` per MC cycle at most; the
 device either accepts it — reserving the target bank and a data-bus slot
-and returning the completion cycle — or reports why it cannot start yet.
+and returning the completion cycle — or refuses it with ``None``.  Who
+holds a refused command's bank is a separate query,
+:meth:`DRAMDevice.bank_holder`.
 """
 
 from __future__ import annotations
@@ -44,15 +46,6 @@ class AddressMap:
         bank = line % self.total_banks
         row = (line // self.total_banks) // self.row_lines
         return bank, row
-
-
-@dataclass(slots=True)
-class IssueResult:
-    """Outcome of a try_issue call (slotted: one is built per attempt)."""
-
-    accepted: bool
-    completion: int = 0  # cycle at which data transfer finishes
-    blocked_by: Optional[Provenance] = None  # who holds the bank, if blocked
 
 
 class DRAMDevice:
@@ -142,9 +135,9 @@ class DRAMDevice:
         return self.banks[bank].row_hit(row)
 
     def bank_holder(self, line: int, now: int) -> Optional[Provenance]:
-        """Provenance of the in-flight command holding the line's bank."""
-        bank, _ = self.amap.locate(line)
-        return self.banks[bank].holder_at(now)
+        """Provenance of the in-flight command holding the line's bank
+        at ``now``, or None when the bank is free."""
+        return self.banks[line % self.amap.total_banks].holder_at(now)
 
     def bank_busy(self, line: int, now: int) -> bool:
         bank, _ = self.amap.locate(line)
@@ -176,13 +169,15 @@ class DRAMDevice:
     # ------------------------------------------------------------------
     # issue
     # ------------------------------------------------------------------
-    def try_issue(self, cmd: MemoryCommand, now: int) -> IssueResult:
+    def try_issue(self, cmd: MemoryCommand, now: int) -> Optional[int]:
         """Attempt to start ``cmd`` at cycle ``now``.
 
-        The command is rejected when the target bank is still occupied by
-        an earlier in-flight access or when the data bus is reserved too
-        far into the future; otherwise the bank and a bus slot are
-        reserved and the completion cycle is returned.
+        Returns the cycle at which the command's data transfer finishes,
+        or ``None`` when the command is refused: the target bank is
+        still occupied by an earlier in-flight access, or the data bus
+        is reserved too far into the future.  On acceptance the bank and
+        a bus slot are reserved.  After a refusal, :meth:`bank_holder`
+        says whether (and by whom) the bank was held.
         """
         horizon = self._refresh_horizon
         if horizon is not None and now >= horizon:
@@ -191,10 +186,8 @@ class DRAMDevice:
         line = cmd.line
         bank_i = line % amap.total_banks
         bank = self.banks[bank_i]
-        if now < bank.held_until:
-            return IssueResult(False, blocked_by=bank.holder_at(now))
-        if self.bus_free_at > now + self.MAX_BUS_LEAD:
-            return IssueResult(False)
+        if now < bank.held_until or self.bus_free_at > now + self.MAX_BUS_LEAD:
+            return None
 
         row = (line // amap.total_banks) // amap.row_lines
         is_write = cmd.is_write
@@ -214,21 +207,21 @@ class DRAMDevice:
         else:
             values["row_hits"] += 1
         if self.power is not None:
-            self.power.record_access(cmd.is_write, activated)
+            self.power.record_access(is_write, activated)
         if self.tracer.enabled:
             self.tracer.emit(
                 DramCommand(
                     t=now,
-                    line=cmd.line,
+                    line=line,
                     bank=bank_i,
                     row=row,
-                    is_write=cmd.is_write,
+                    is_write=is_write,
                     provenance=cmd.provenance.value,
                     row_hit=not activated,
                     completion=completion,
                 )
             )
-        return IssueResult(True, completion=completion)
+        return completion
 
     # ------------------------------------------------------------------
     def utilization(self, elapsed: int) -> float:

@@ -36,8 +36,8 @@ def mc_read_stream(trace: Trace, config: Optional[SystemConfig] = None) -> List[
     hierarchy = CacheHierarchy(config.hierarchy)
     reads: List[int] = []
     for _, line, is_write in trace.records:
-        result = hierarchy.access(line, is_write)
-        if result.level is Level.MEMORY and not is_write:
+        level, _ = hierarchy.access(line, is_write)
+        if level is Level.MEMORY and not is_write:
             reads.append(line)
             hierarchy.fill_from_memory(line)  # data returns before reuse
     return reads

@@ -3,7 +3,8 @@
 * :mod:`repro.prefetch.slh` — Stream Length Histograms via Likelihood
   Tables (LHTcurr / LHTnext), the probabilistic prefetch test.
 * :mod:`repro.prefetch.stream_filter` — the 8-slot per-thread Stream
-  Filter that feeds the tables.
+  Filter that feeds the tables; ``StreamFilter.observe`` answers with a
+  plain ``(position, step)`` pair, or ``None`` for an untracked read.
 * :mod:`repro.prefetch.engines` — the three memory-side generation
   engines: ASD, next-line, and a Power5-style engine relocated into the
   memory controller (the Figure 11 baselines).
@@ -14,16 +15,17 @@
 * :mod:`repro.prefetch.memory_side` — the assembled memory-side
   prefetcher the controller embeds.
 * :mod:`repro.prefetch.processor_side` — the Power5 processor-side
-  stream prefetcher (the paper's PS configuration).
+  stream prefetcher (the paper's PS configuration); its requests are
+  plain ``(line, to_l1)`` pairs.
 """
 
 from repro.prefetch.adaptive_scheduling import AdaptiveScheduler, lpq_may_issue
 from repro.prefetch.lpq import LowPriorityQueue
 from repro.prefetch.memory_side import MemorySidePrefetcher
 from repro.prefetch.prefetch_buffer import PrefetchBuffer
-from repro.prefetch.processor_side import ProcessorSidePrefetcher, PSRequest
+from repro.prefetch.processor_side import ProcessorSidePrefetcher
 from repro.prefetch.slh import LikelihoodTables, slh_bars
-from repro.prefetch.stream_filter import StreamFilter, StreamObservation
+from repro.prefetch.stream_filter import StreamFilter
 
 __all__ = [
     "AdaptiveScheduler",
@@ -32,9 +34,7 @@ __all__ = [
     "MemorySidePrefetcher",
     "PrefetchBuffer",
     "ProcessorSidePrefetcher",
-    "PSRequest",
     "StreamFilter",
-    "StreamObservation",
     "lpq_may_issue",
     "slh_bars",
 ]

@@ -24,14 +24,16 @@ default ``"power5"`` keeps the stock two-miss-confirm unit).
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List, Set, Tuple
 
 from repro.common.config import ProcessorSidePrefetcherConfig
 from repro.common.stats import Stats
 from repro.common.types import Direction
-from repro.prefetch.processor_side import PSRequest
 from repro.prefetch.slh import LikelihoodTables
 from repro.prefetch.stream_filter import StreamFilter
+
+# enum members bound once (docs/performance.md, hot-path conventions)
+_DESCENDING = Direction.DESCENDING
 
 
 class ASDProcessorSidePrefetcher:
@@ -47,21 +49,25 @@ class ASDProcessorSidePrefetcher:
         self.enabled = config.enabled
         sf_cfg = config.asd_stream_filter
         slh_cfg = config.asd_slh
-        self._tables: Dict[Direction, LikelihoodTables] = {
-            Direction.ASCENDING: LikelihoodTables(slh_cfg),
-            Direction.DESCENDING: LikelihoodTables(slh_cfg),
-        }
+        # (ascending, descending), indexed by ``step < 0`` or
+        # ``direction is DESCENDING`` instead of hashing a Direction
+        self._tables: Tuple[LikelihoodTables, LikelihoodTables] = (
+            LikelihoodTables(slh_cfg),
+            LikelihoodTables(slh_cfg),
+        )
         self._filter = StreamFilter(sf_cfg, on_evict=self._record)
         self._installed_l1: Set[int] = set()
         self._misses_this_epoch = 0
         self.stats = Stats()
+        self._stat_values = self.stats.raw()
 
     def _record(self, length: int, direction: Direction) -> None:
-        self._tables[direction].record_stream(length)
+        self._tables[direction is _DESCENDING].record_stream(length)
 
     # ------------------------------------------------------------------
-    def observe(self, line: int, l1_hit: bool) -> List[PSRequest]:
-        """Feed one demand access; returns prefetch requests to send."""
+    def observe(self, line: int, l1_hit: bool) -> List[Tuple[int, bool]]:
+        """Feed one demand access; returns the ``(line, to_l1)`` prefetch
+        requests to send."""
         if not self.enabled:
             return []
         if l1_hit:
@@ -76,34 +82,33 @@ class ASDProcessorSidePrefetcher:
             self._misses_this_epoch = 0
             self._epoch_flush()
 
-        obs = self._filter.observe(line, self._observation_clock())
-        if not obs.tracked:
-            self.stats.bump("untracked")
-            return []
-        tables = self._tables[obs.direction]
-        out: List[PSRequest] = []
-        for d in range(1, self.config.lead + 1):
-            if not tables.should_prefetch(obs.position, d):
-                break
-            target = line + d * obs.direction.step
-            out.append(PSRequest(target, to_l1=d <= self.config.l1_lead))
-        if out:
-            self.stats.bump("generated", len(out))
-        else:
-            self.stats.bump("suppressed")
-        return out
-
-    def _observation_clock(self) -> int:
+        values = self._stat_values
         # read-event clock, like the memory-side default
-        self.stats.bump("observations")
-        return int(self.stats["observations"])
+        values["observations"] += 1
+        obs = self._filter.observe(line, int(values["observations"]))
+        if obs is None:
+            values["untracked"] += 1
+            return []
+        position, step = obs
+        tables = self._tables[step < 0]
+        l1_lead = self.config.l1_lead
+        out: List[Tuple[int, bool]] = []
+        for d in range(1, self.config.lead + 1):
+            if not tables.should_prefetch(position, d):
+                break
+            out.append((line + d * step, d <= l1_lead))
+        if out:
+            values["generated"] += len(out)
+        else:
+            values["suppressed"] += 1
+        return out
 
     def _epoch_flush(self) -> None:
         def sink(length: int, direction: Direction) -> None:
-            self._tables[direction].record_stream_next_only(length)
+            self._tables[direction is _DESCENDING].record_stream_next_only(length)
 
         self._filter.flush(callback=sink)
-        for tables in self._tables.values():
+        for tables in self._tables:
             tables.rollover()
         self.stats.bump("epochs")
 

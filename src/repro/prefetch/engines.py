@@ -20,13 +20,16 @@ memory controller, which lines should be prefetched?* — and plug into
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.common.config import MemorySidePrefetcherConfig
 from repro.common.stats import Stats
 from repro.common.types import Direction
 from repro.prefetch.slh import LikelihoodTables
 from repro.prefetch.stream_filter import StreamFilter
+
+# enum members bound once (docs/performance.md, hot-path conventions)
+_DESCENDING = Direction.DESCENDING
 
 
 class PrefetchEngine:
@@ -55,23 +58,27 @@ class ASDEngine(PrefetchEngine):
         # per thread: a Stream Filter and one table pair per direction
         self.filters: List[StreamFilter] = []
         self.tables: List[Dict[Direction, LikelihoodTables]] = []
+        # the same pairs as (ascending, descending) tuples, indexed on
+        # the hot path by ``step < 0`` instead of hashing a Direction
+        self._pairs: List[Tuple[LikelihoodTables, LikelihoodTables]] = []
         for _ in range(threads):
-            pair = {
-                Direction.ASCENDING: LikelihoodTables(config.slh),
-                Direction.DESCENDING: LikelihoodTables(config.slh),
-            }
-            self.tables.append(pair)
+            pair = (LikelihoodTables(config.slh), LikelihoodTables(config.slh))
+            self.tables.append(
+                {Direction.ASCENDING: pair[0], Direction.DESCENDING: pair[1]}
+            )
+            self._pairs.append(pair)
             sf = StreamFilter(
                 config.stream_filter,
                 on_evict=self._make_evict_sink(pair),
             )
             self.filters.append(sf)
         self.stats = Stats()
+        self._stat_values = self.stats.raw()
 
     @staticmethod
-    def _make_evict_sink(pair: Dict[Direction, LikelihoodTables]):
+    def _make_evict_sink(pair: Tuple[LikelihoodTables, LikelihoodTables]):
         def sink(length: int, direction: Direction) -> None:
-            pair[direction].record_stream(length)
+            pair[direction is _DESCENDING].record_stream(length)
 
         return sink
 
@@ -81,29 +88,30 @@ class ASDEngine(PrefetchEngine):
             self._read_counts[thread] += 1
             now_cpu = self._read_counts[thread]
         obs = self.filters[thread].observe(line, now_cpu)
-        if not obs.tracked:
-            self.stats.bump("untracked_reads")
+        if obs is None:
+            self._stat_values["untracked_reads"] += 1
             return []
-        tables = self.tables[thread][obs.direction]
+        position, step = obs
+        tables = self._pairs[thread][step < 0]
         out: List[int] = []
         for d in range(1, self.degree + 1):
-            if not tables.should_prefetch(obs.position, d):
+            if not tables.should_prefetch(position, d):
                 break
-            out.append(line + d * obs.direction.step)
+            out.append(line + d * step)
         if not out:
-            self.stats.bump("suppressed")
+            self._stat_values["suppressed"] += 1
         return out
 
     def epoch_flush(self) -> None:
         """Flush all filters into LHTnext, then roll the tables over."""
         for thread in range(self.threads):
-            pair = self.tables[thread]
+            pair = self._pairs[thread]
 
             def sink(length: int, direction: Direction) -> None:
-                pair[direction].record_stream_next_only(length)
+                pair[direction is _DESCENDING].record_stream_next_only(length)
 
             self.filters[thread].flush(callback=sink)
-            for tables in pair.values():
+            for tables in pair:
                 tables.rollover()
         self.stats.bump("epochs")
 
@@ -154,15 +162,17 @@ class P5StyleEngine(PrefetchEngine):
             OrderedDict() for _ in range(threads)
         ]
         self.stats = Stats()
+        self._stat_values = self.stats.raw()
 
     def observe_read(self, line: int, thread: int, now_cpu: int) -> List[int]:
         streams = self._streams[thread]
-        # advance an existing stream?
-        for key, stream in list(streams.items()):
+        # advance an existing stream?  (returning right after
+        # move_to_end, so the live iteration is never resumed)
+        for key, stream in streams.items():
             if line == stream.last + stream.step:
                 stream.last = line
                 streams.move_to_end(key)
-                self.stats.bump("advances")
+                self._stat_values["advances"] += 1
                 return [line + d * stream.step for d in range(1, self.degree + 1)]
         # confirm a candidate?
         candidates = self._candidates[thread]
@@ -177,7 +187,7 @@ class P5StyleEngine(PrefetchEngine):
             if len(streams) >= self.MAX_STREAMS:
                 streams.popitem(last=False)  # evict LRU stream
             streams[line] = _P5Stream(line, step)
-            self.stats.bump("confirms")
+            self._stat_values["confirms"] += 1
             return [line + d * step for d in range(1, self.degree + 1)]
         candidates.append(line)
         return []

@@ -31,6 +31,8 @@ class LowPriorityQueue:
         self._queue: Deque[MemoryCommand] = deque()
         self._lines: Set[int] = set()
         self.stats = Stats()
+        # hot path: per-push counters add straight into the mapping
+        self._stat_values = self.stats.raw()
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -47,8 +49,9 @@ class LowPriorityQueue:
 
     def push(self, cmd: MemoryCommand) -> bool:
         """Enqueue; returns False (command dropped) when full or duplicate."""
+        values = self._stat_values
         if cmd.line in self._lines:
-            self.stats.bump("dropped_duplicate")
+            values["dropped_duplicate"] += 1
             if self.tracer.enabled:
                 self.tracer.emit(
                     PrefetchDiscard(
@@ -57,7 +60,7 @@ class LowPriorityQueue:
                 )
             return False
         if self.full:
-            self.stats.bump("dropped_full")
+            values["dropped_full"] += 1
             if self.tracer.enabled:
                 self.tracer.emit(
                     PrefetchDiscard(
@@ -67,7 +70,7 @@ class LowPriorityQueue:
             return False
         self._queue.append(cmd)
         self._lines.add(cmd.line)
-        self.stats.bump("pushed")
+        values["pushed"] += 1
         return True
 
     def pop(self) -> MemoryCommand:
@@ -85,7 +88,7 @@ class LowPriorityQueue:
                 self._queue.remove(cmd)
                 break
         self._lines.discard(line)
-        self.stats.bump("squashed")
+        self._stat_values["squashed"] += 1
         if self.tracer.enabled:
             self.tracer.emit(
                 PrefetchDiscard(t=self.now_mc, line=line, reason="squashed")

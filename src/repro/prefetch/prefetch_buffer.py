@@ -50,6 +50,8 @@ class PrefetchBuffer:
         self._sets: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
         self._clock = 0
         self.stats = Stats()
+        # hot path: per-probe counters add straight into the mapping
+        self._stat_values = self.stats.raw()
 
     def _set_for(self, line: int) -> Dict[int, int]:
         return self._sets[line % self.num_sets]
@@ -58,15 +60,16 @@ class PrefetchBuffer:
     def insert(self, line: int) -> None:
         """Install a prefetched line, evicting LRU on a full set."""
         self._clock += 1
+        values = self._stat_values
         entries = self._set_for(line)
         if line in entries:
             entries[line] = self._clock
-            self.stats.bump("duplicate_inserts")
+            values["duplicate_inserts"] += 1
             return
         if len(entries) >= self.config.assoc:
             victim = min(entries, key=entries.get)
             del entries[victim]
-            self.stats.bump("evicted_unused")
+            values["evicted_unused"] += 1
             if self.tracer.enabled:
                 self.tracer.emit(
                     PrefetchDiscard(
@@ -74,14 +77,14 @@ class PrefetchBuffer:
                     )
                 )
         entries[line] = self._clock
-        self.stats.bump("inserts")
+        values["inserts"] += 1
 
     def read_hit(self, line: int) -> bool:
         """Probe for a regular Read; on hit, consume the entry."""
         entries = self._set_for(line)
         if line in entries:
             del entries[line]
-            self.stats.bump("read_hits")
+            self._stat_values["read_hits"] += 1
             return True
         return False
 
@@ -94,7 +97,7 @@ class PrefetchBuffer:
         entries = self._set_for(line)
         if line in entries:
             del entries[line]
-            self.stats.bump("write_invalidations")
+            self._stat_values["write_invalidations"] += 1
             if self.tracer.enabled:
                 self.tracer.emit(
                     PrefetchDiscard(

@@ -12,28 +12,19 @@ prefetched into the L1 itself (otherwise its own success would starve
 its stream tracking).  Its prefetch requests travel to the memory
 controller as ordinary reads — at the MC they are indistinguishable
 from demand reads, exactly as the paper notes.
+
+A prefetch request is a plain ``(line, to_l1)`` pair: ``to_l1`` selects
+the fill destination — True fills L1+L2 (the near-edge line), False
+stops at the L2 (the far-edge line).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass
-from typing import List, Set
+from typing import List, Set, Tuple
 
 from repro.common.config import ProcessorSidePrefetcherConfig
 from repro.common.stats import Stats
-
-
-@dataclass(frozen=True, slots=True)
-class PSRequest:
-    """One processor-side prefetch request.
-
-    ``to_l1`` selects the fill destination: True fills L1+L2 (the
-    near-edge line), False stops at the L2 (the far-edge line).
-    """
-
-    line: int
-    to_l1: bool
 
 
 class _Stream:
@@ -58,10 +49,12 @@ class ProcessorSidePrefetcher:
         #: lines this prefetcher installed into the L1 (advance-on-hit)
         self._installed_l1: Set[int] = set()
         self.stats = Stats()
+        self._stat_values = self.stats.raw()
 
     # ------------------------------------------------------------------
-    def observe(self, line: int, l1_hit: bool) -> List[PSRequest]:
-        """Feed one demand access; returns prefetch requests to send.
+    def observe(self, line: int, l1_hit: bool) -> List[Tuple[int, bool]]:
+        """Feed one demand access; returns the ``(line, to_l1)`` prefetch
+        requests to send.
 
         Call for every demand access.  L1 hits are ignored unless the
         line was installed by this prefetcher (stream advance on
@@ -77,13 +70,15 @@ class ProcessorSidePrefetcher:
             self._installed_l1.discard(line)
 
         cfg = self.config
-        # advance an existing stream
-        for key, stream in list(self._streams.items()):
+        values = self._stat_values
+        # advance an existing stream (returning right after move_to_end,
+        # so the live iteration is never resumed)
+        for key, stream in self._streams.items():
             if line == stream.last + stream.step:
                 stream.last = line
                 stream.depth = min(stream.depth + 1, cfg.l2_lead)
                 self._streams.move_to_end(key)
-                self.stats.bump("advances")
+                values["advances"] += 1
                 return self._emit(stream)
 
         # confirm a candidate (two consecutive-line misses)
@@ -97,17 +92,17 @@ class ProcessorSidePrefetcher:
         if step:
             if len(self._streams) >= cfg.max_streams:
                 self._streams.popitem(last=False)
-                self.stats.bump("stream_replacements")
+                values["stream_replacements"] += 1
             stream = _Stream(line, step, cfg.ramp)
             self._streams[line] = stream
-            self.stats.bump("confirms")
+            values["confirms"] += 1
             return self._emit(stream)
 
         self._candidates.append(line)
-        self.stats.bump("allocations")
+        values["allocations"] += 1
         return []
 
-    def _emit(self, stream: _Stream) -> List[PSRequest]:
+    def _emit(self, stream: _Stream) -> List[Tuple[int, bool]]:
         """Advance the per-stream prefetch pointer up to the current lead.
 
         The ramp makes the lead grow gradually — short streams waste at
@@ -117,10 +112,10 @@ class ProcessorSidePrefetcher:
         edge).
         """
         cfg = self.config
-        out: List[PSRequest] = []
+        out: List[Tuple[int, bool]] = []
         while (stream.next_pf - stream.last) * stream.step <= stream.depth:
             distance = (stream.next_pf - stream.last) * stream.step
-            out.append(PSRequest(stream.next_pf, to_l1=distance <= cfg.l1_lead))
+            out.append((stream.next_pf, distance <= cfg.l1_lead))
             stream.next_pf += stream.step
         return out
 

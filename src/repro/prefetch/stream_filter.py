@@ -18,12 +18,14 @@ Matching rules, straight from the paper:
 * A read matching nothing allocates a vacant slot (length 1, ascending);
   with no vacancy, no prefetch can follow the read, but the histogram is
   still updated as if a stream of length 1 had been observed.
+
+:meth:`StreamFilter.observe` answers with a plain ``(position, step)``
+pair, or ``None`` for a read the full filter could not follow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.common.config import StreamFilterConfig
 from repro.common.stats import Stats
@@ -32,30 +34,20 @@ from repro.common.types import Direction
 #: Called with (length, direction) whenever a stream leaves the filter.
 EvictionCallback = Callable[[int, Direction], None]
 
-
-@dataclass(slots=True)
-class StreamObservation:
-    """What the filter concluded about one Read (slotted: one per Read).
-
-    ``position`` is k, the element index of this read within its stream
-    (1 for a fresh stream).  ``tracked`` is False when the filter was
-    full and the read could not be followed — no prefetch may be
-    generated for it.
-    """
-
-    position: int
-    direction: Direction
-    tracked: bool
-    line: int
+# enum members bound once (docs/performance.md, hot-path conventions)
+_ASCENDING = Direction.ASCENDING
+_DESCENDING = Direction.DESCENDING
 
 
 class _Slot:
-    __slots__ = ("last", "length", "direction", "expires_at")
+    # ``step`` caches ``direction.step`` (+1 / -1) for the match test
+    __slots__ = ("last", "length", "direction", "step", "expires_at")
 
     def __init__(self, line: int, now: int, lifetime: int) -> None:
         self.last = line
         self.length = 1
-        self.direction = Direction.ASCENDING
+        self.direction = _ASCENDING
+        self.step = 1
         self.expires_at = now + lifetime
 
 
@@ -67,7 +59,14 @@ class StreamFilter:
     :meth:`observe` doing it implicitly.
     """
 
-    __slots__ = ("config", "on_evict", "slots", "stats", "_soonest_expiry")
+    __slots__ = (
+        "config",
+        "on_evict",
+        "slots",
+        "stats",
+        "_stat_values",
+        "_soonest_expiry",
+    )
 
     #: sentinel horizon when the filter holds no slots
     _NEVER = float("inf")
@@ -82,6 +81,8 @@ class StreamFilter:
         self.on_evict = on_evict
         self.slots: List[_Slot] = []
         self.stats = Stats()
+        # hot path: per-read counters add straight into the mapping
+        self._stat_values = self.stats.raw()
         # Lower bound on the earliest live expiry: expire() is a no-op
         # (and skips its scan) while now is below it.  Advances only
         # push expiries later, so the bound can go stale-low — that
@@ -91,8 +92,9 @@ class StreamFilter:
     # ------------------------------------------------------------------
     def _evict(self, slot: _Slot) -> None:
         self.slots.remove(slot)
-        self.stats.bump("evictions")
-        self.stats.bump("evicted_length", slot.length)
+        values = self._stat_values
+        values["evictions"] += 1
+        values["evicted_length"] += slot.length
         if self.on_evict is not None:
             self.on_evict(slot.length, slot.direction)
 
@@ -122,47 +124,57 @@ class StreamFilter:
         self._soonest_expiry = self._NEVER
 
     # ------------------------------------------------------------------
-    def observe(self, line: int, now_cpu: int) -> StreamObservation:
-        """Process one Read at ``line``; returns what stream it extends."""
+    def observe(self, line: int, now_cpu: int) -> Optional[Tuple[int, int]]:
+        """Process one Read at ``line``; returns what stream it extends.
+
+        The answer is ``(position, step)``: ``position`` is k, the
+        element index of this read within its stream (1 for a fresh
+        stream), and ``step`` the stream's line-address delta (+1
+        ascending, -1 descending).  ``None`` means the filter was full
+        and the read could not be followed — no prefetch may be
+        generated for it.
+        """
         self.expire(now_cpu)
         cfg = self.config
+        values = self._stat_values
 
         for slot in self.slots:
-            if line == slot.last + slot.direction.step:
+            if line == slot.last + slot.step:
                 slot.last = line
                 slot.length += 1
                 slot.expires_at = min(
                     slot.expires_at + cfg.lifetime_increment,
                     now_cpu + cfg.lifetime_cap,
                 )
-                self.stats.bump("advances")
-                return StreamObservation(slot.length, slot.direction, True, line)
+                values["advances"] += 1
+                return slot.length, slot.step
             if slot.length == 1 and line == slot.last - 1:
-                slot.direction = Direction.DESCENDING
+                slot.direction = _DESCENDING
+                slot.step = -1
                 slot.last = line
                 slot.length = 2
                 slot.expires_at = min(
                     slot.expires_at + cfg.lifetime_increment,
                     now_cpu + cfg.lifetime_cap,
                 )
-                self.stats.bump("advances")
-                self.stats.bump("direction_flips")
-                return StreamObservation(2, Direction.DESCENDING, True, line)
+                values["advances"] += 1
+                values["direction_flips"] += 1
+                return 2, -1
 
         if len(self.slots) < cfg.slots:
             self.slots.append(_Slot(line, now_cpu, cfg.lifetime_init))
             expiry = now_cpu + cfg.lifetime_init
             if expiry < self._soonest_expiry:
                 self._soonest_expiry = expiry
-            self.stats.bump("allocations")
-            return StreamObservation(1, Direction.ASCENDING, True, line)
+            values["allocations"] += 1
+            return 1, 1
 
         # Filter full: the read is recorded as a completed length-1 stream
         # but cannot be followed, so no prefetch may be generated for it.
-        self.stats.bump("untracked")
+        values["untracked"] += 1
         if self.on_evict is not None:
-            self.on_evict(1, Direction.ASCENDING)
-        return StreamObservation(1, Direction.ASCENDING, False, line)
+            self.on_evict(1, _ASCENDING)
+        return None
 
     # ------------------------------------------------------------------
     @property
@@ -179,7 +191,7 @@ class StreamFilter:
             {
                 "last": s.last,
                 "length": s.length,
-                "direction": s.direction.step,
+                "direction": s.step,
                 "expires_at": s.expires_at,
             }
             for s in self.slots

@@ -288,8 +288,53 @@ class System:
         return skip, refused
 
     # ------------------------------------------------------------------
+    def _check_conservation(self, stats: Stats) -> None:
+        """Raise if the run's counters break a conservation identity.
 
-    # ------------------------------------------------------------------
+        Every command and prefetch line is accounted for from arrival
+        to retirement: an LPQ entry is issued, squashed or still
+        queued; a Prefetch Buffer line is read, evicted unused,
+        invalidated by a write or still resident.  O(1) per run.
+        """
+        lpq_resident = len(self.ms.lpq)
+        pb_resident = self.ms.buffer.occupancy
+        identities = (
+            (
+                "lpq.pushed == mc.issued_prefetch + lpq.squashed + lpq resident",
+                stats["lpq.pushed"],
+                stats["mc.issued_prefetch"] + stats["lpq.squashed"] + lpq_resident,
+            ),
+            (
+                "pb.inserts == pb.read_hits + pb.evicted_unused"
+                " + pb.write_invalidations + pb resident",
+                stats["pb.inserts"],
+                stats["pb.read_hits"]
+                + stats["pb.evicted_unused"]
+                + stats["pb.write_invalidations"]
+                + pb_resident,
+            ),
+            (
+                "mc.reads_arrived == mc.reads_demand + mc.reads_ps",
+                stats["mc.reads_arrived"],
+                stats["mc.reads_demand"] + stats["mc.reads_ps"],
+            ),
+            (
+                "ms.generated == lpq.pushed",
+                stats["ms.generated"],
+                stats["lpq.pushed"],
+            ),
+            (
+                "dram.issued == dram.issued_reads + dram.issued_writes",
+                stats["dram.issued"],
+                stats["dram.issued_reads"] + stats["dram.issued_writes"],
+            ),
+        )
+        for name, lhs, rhs in identities:
+            if lhs != rhs:
+                raise RuntimeError(
+                    f"conservation identity broken: {name} ({lhs} != {rhs})"
+                )
+
     def _collect(self) -> RunResult:
         stats = Stats()
         stats.merge(self.controller.stats, "mc.")
@@ -308,6 +353,7 @@ class System:
         stats.merge(self.core.stats, "core.")
         stats.merge(self.ps.stats, "ps.")
         stats.set("sched.final_policy", self.ms.scheduler.policy)
+        self._check_conservation(stats)
         telemetry = None
         if self.tracer.enabled:
             telemetry = {"tracer": self.tracer.summary()}

@@ -33,10 +33,10 @@ def build(policy):
     original = dram.try_issue
 
     def spy(cmd, now):
-        result = original(cmd, now)
-        if result.accepted:
+        completion = original(cmd, now)
+        if completion is not None:
             issued.append(cmd)
-        return result
+        return completion
 
     dram.try_issue = spy
     return mc, issued

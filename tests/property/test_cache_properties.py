@@ -179,7 +179,7 @@ def test_fill_way_and_victim_match_naive_lru(operations):
             dirty = op == "fill_dirty"
             way, evicted = model.fill(line, dirty)
             ev = cache.fill(line, dirty)
-            assert (None if ev is None else (ev.line, ev.dirty)) == evicted
+            assert ev == evicted
             assert cache._where[cache.set_index(line)][line] == way
         elif op in ("read", "write"):
             write = op == "write"

@@ -28,11 +28,11 @@ def replay(spec):
         cmd = MemoryCommand(
             CommandKind.WRITE if is_write else CommandKind.READ, line
         )
-        result = dev.try_issue(cmd, now)
-        while not result.accepted:
+        completion = dev.try_issue(cmd, now)
+        while completion is None:
             now += 1
-            result = dev.try_issue(cmd, now)
-        completions.append((cmd, now, result.completion))
+            completion = dev.try_issue(cmd, now)
+        completions.append((cmd, now, completion))
     return dev, completions
 
 

@@ -75,9 +75,9 @@ class TestReadiness:
         dev = DRAMDevice(cfg)
         sched = AHBScheduler()
         first = read(0)
-        r = dev.try_issue(first, 0)
+        completion = dev.try_issue(first, 0)
         sched.notify_issue(first, dev)
-        now = r.completion + 5
+        now = completion + 5
         row_hit = read(2, arrival=9)  # same bank+row as line 0
         fresh_bank = read(1, arrival=1)  # older, different bank, activate
         assert sched.select([fresh_bank, row_hit], dev, now) is row_hit

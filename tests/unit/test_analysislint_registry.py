@@ -43,20 +43,25 @@ class TestExtraction:
         tree = mount_text(
             "_HIT = {prov: f\"pb_hits_{prov.value}\" for prov in Provenance}\n"
             "_SIDE = {True: \"hit_left\", False: \"hit_right\"}\n"
+            "_ORDER = (Provenance.DEMAND, Provenance.PS_PREFETCH)\n"
+            "_MERGE = tuple(f\"pb_merges_{prov.value}\" for prov in _ORDER)\n"
             "class PB:\n"
             "    def __init__(self):\n"
             "        self.stats = Stats()\n"
             "        self._values = self.stats.raw()\n"
-            "    def hit(self, cmd, left):\n"
+            "    def hit(self, cmd, left, is_ps):\n"
             "        self._values[_HIT[cmd.provenance]] += 1\n"
-            "        self.stats.bump(_SIDE[left])\n",
+            "        self.stats.bump(_SIDE[left])\n"
+            "        self._values[_MERGE[is_ps]] += 1\n",
             "src/repro/controller/pb.py",
         )
         model = build_registry(tree)
-        assert model.keys == {f"pb_hits_{v}" for v in provenance_values()} | {
-            "hit_left",
-            "hit_right",
-        }
+        values = provenance_values()
+        assert model.keys == (
+            {f"pb_hits_{v}" for v in values}
+            | {f"pb_merges_{v}" for v in values}
+            | {"hit_left", "hit_right"}
+        )
         assert not model.prefixes
         assert DynamicKeyRule().check(tree) == []
 

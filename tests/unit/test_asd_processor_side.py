@@ -67,7 +67,7 @@ class TestBehaviour:
         train_streams(ps)
         reqs = ps.observe(1_000_000, l1_hit=False)
         assert reqs
-        assert reqs[0].line == 1_000_001
+        assert reqs[0][0] == 1_000_001
         # multi-line lead on stream-heavy histograms
         assert len(reqs) >= 2
 
@@ -75,7 +75,7 @@ class TestBehaviour:
         ps = make(epoch=40)
         train_streams(ps)
         reqs = ps.observe(2_000_000, l1_hit=False)
-        dests = {r.line - 2_000_000: r.to_l1 for r in reqs}
+        dests = {line - 2_000_000: to_l1 for line, to_l1 in reqs}
         cfg = ps.config
         for distance, to_l1 in dests.items():
             assert to_l1 == (distance <= cfg.l1_lead)
@@ -97,7 +97,7 @@ class TestBehaviour:
         assert reqs
         ps.notify_fill(base + 1, to_l1=True)
         follow = ps.observe(base + 1, l1_hit=True)  # hit on own install
-        assert any(r.line == base + 2 for r in follow)
+        assert any(line == base + 2 for line, _ in follow)
 
     def test_foreign_l1_hits_ignored(self):
         ps = make(epoch=40)

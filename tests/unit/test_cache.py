@@ -1,7 +1,7 @@
 """Unit tests for the set-associative cache."""
 
 
-from repro.cache.cache import Cache, Eviction
+from repro.cache.cache import Cache
 from repro.common.config import CacheConfig
 
 
@@ -35,9 +35,9 @@ class TestLookup:
         c.lookup(0, write=True)
         c.lookup(0)  # refresh 0 again -> 4 is LRU... fill order matters
         ev = c.fill(8)  # set 0 full: evicts 4 (LRU)
-        assert ev == Eviction(4, False)
+        assert ev == (4, False)
         ev = c.fill(12)  # now evicts 0, which is dirty
-        assert ev == Eviction(0, True)
+        assert ev == (0, True)
 
 
 class TestFill:
@@ -53,7 +53,7 @@ class TestFill:
         c.fill(0, dirty=False)  # must not clear the dirty bit
         c.fill(1)
         ev = c.fill(2)
-        assert ev.line == 0 and ev.dirty
+        assert ev == (0, True)
 
     def test_eviction_is_lru(self):
         c = make_cache(size=256, assoc=2)  # 1 set
@@ -61,7 +61,7 @@ class TestFill:
         c.fill(1)
         c.lookup(0)  # 1 becomes LRU
         ev = c.fill(2)
-        assert ev.line == 1
+        assert ev[0] == 1
 
     def test_occupancy_bounded(self):
         c = make_cache()

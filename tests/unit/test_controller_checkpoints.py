@@ -121,3 +121,49 @@ class TestConflictAccounting:
         drain(mc)
         assert mc.ms.scheduler.stats["conflicts"] == 0
         assert mc.stats["delayed_regular"] == 0
+
+
+class TestDelayedRegularRefusals:
+    """Figure 13's delayed-regular count under ``try_issue``'s refusal
+    contract: a refused command's bank holder is asked separately."""
+
+    def test_refusal_behind_prefetch_counts_once(self):
+        # p5 engine: one read generates no prefetch of its own
+        mc, _ = build(engine="p5", banks=1)
+        pf = MemoryCommand(
+            CommandKind.READ, 0, provenance=Provenance.MS_PREFETCH
+        )
+        mc.ms.lpq.push(pf)
+        mc.tick(0)  # the prefetch issues and holds the only bank
+        held_until = mc.dram.banks[0].held_until
+        demand = read(100)
+        mc.enqueue(demand, 1)
+        for now in range(1, held_until):
+            mc.tick(now)
+        # refused on every tick from 2 on, counted on the first only
+        assert held_until > 3
+        assert list(mc.caq) == [demand]
+        assert mc.stats["delayed_regular"] == 1
+        drain(mc, start=held_until)
+        assert mc.stats["delayed_regular"] == 1
+
+    def test_bus_lead_refusal_with_free_bank_does_not_count(self):
+        mc, _ = build(engine="p5", banks=32)
+        dram = mc.dram
+        # a prefetch holds bank 0, demand reads banks 1..14: the data
+        # bus is now reserved beyond the lead limit
+        dram.try_issue(
+            MemoryCommand(CommandKind.READ, 0, provenance=Provenance.MS_PREFETCH), 0
+        )
+        for line in range(1, 15):
+            assert dram.try_issue(read(line), 0) is not None
+        assert dram.bus_free_at > 3 + dram.MAX_BUS_LEAD
+        demand = read(20)  # bank 20 is free
+        mc.enqueue(demand, 1)
+        for now in range(1, 4):
+            mc.tick(now)
+        assert dram.bank_holder(20, 3) is None
+        assert dram.bank_holder(0, 3) is Provenance.MS_PREFETCH
+        assert list(mc.caq) == [demand]  # refused on ticks 2 and 3
+        assert dram.stats["issued"] == 15
+        assert mc.stats["delayed_regular"] == 0

@@ -117,9 +117,9 @@ class TestRefresh:
         cfg = DRAMConfig(ranks=1, banks_per_rank=2, timing=self.timing())
         dev = DRAMDevice(cfg)
         # issue exactly at the refresh deadline: access waits out tRFC
-        result = dev.try_issue(read(0), 200)
+        completion = dev.try_issue(read(0), 200)
         t = self.timing()
-        assert result.completion >= 200 + t.t_rfc + t.t_rcd + t.t_cl
+        assert completion >= 200 + t.t_rfc + t.t_rcd + t.t_cl
 
     def test_refresh_disabled_by_default(self):
         dev = DRAMDevice(DRAMConfig())
@@ -137,7 +137,7 @@ class TestClosedPage:
                          page_policy="closed")
         dev = DRAMDevice(cfg)
         first = dev.try_issue(read(0), 0)
-        dev.try_issue(read(0), first.completion + 50)
+        dev.try_issue(read(0), first + 50)
         assert dev.stats["row_hits"] == 0
         assert dev.stats["activations"] == 2
 
@@ -146,7 +146,7 @@ class TestClosedPage:
                          page_policy="open")
         dev = DRAMDevice(cfg)
         first = dev.try_issue(read(0), 0)
-        dev.try_issue(read(0), first.completion + 50)
+        dev.try_issue(read(0), first + 50)
         assert dev.stats["row_hits"] == 1
 
     def test_invalid_policy(self):

@@ -47,9 +47,9 @@ class TestLazyCatchup:
 
     def test_access_between_refreshes_unaffected(self):
         dev = make(ranks=1, t_refi=400, t_rfc=34)
-        r = dev.try_issue(read(0), 50)
+        completion = dev.try_issue(read(0), 50)
         t = dev.timing
-        assert r.completion == 50 + t.t_rcd + t.t_cl + t.burst_cycles
+        assert completion == 50 + t.t_rcd + t.t_cl + t.burst_cycles
 
     def test_refresh_does_not_advance_past_now(self):
         dev = make(ranks=1, t_refi=100)

@@ -96,42 +96,40 @@ class TestAddressMap:
 class TestDevice:
     def test_issue_returns_completion(self):
         dev = DRAMDevice(DRAMConfig())
-        result = dev.try_issue(read(0), now=0)
-        assert result.accepted
+        completion = dev.try_issue(read(0), now=0)
         t = DRAMTimingConfig()
-        assert result.completion == t.t_rcd + t.t_cl + t.burst_cycles
+        assert completion == t.t_rcd + t.t_cl + t.burst_cycles
 
     def test_busy_bank_rejects(self):
         dev = DRAMDevice(DRAMConfig())
         dev.try_issue(read(0), 0)
-        result = dev.try_issue(read(0), 1)
-        assert not result.accepted
-        assert result.blocked_by is Provenance.DEMAND
+        assert dev.try_issue(read(0), 1) is None
+        assert dev.bank_holder(0, 1) is Provenance.DEMAND
 
     def test_blocked_by_reports_prefetch(self):
         dev = DRAMDevice(DRAMConfig())
         dev.try_issue(read(0, Provenance.MS_PREFETCH), 0)
-        result = dev.try_issue(read(0), 1)
-        assert result.blocked_by is Provenance.MS_PREFETCH
+        assert dev.try_issue(read(0), 1) is None
+        assert dev.bank_holder(0, 1) is Provenance.MS_PREFETCH
 
     def test_different_banks_overlap(self):
         dev = DRAMDevice(DRAMConfig())
         r0 = dev.try_issue(read(0), 0)
         r1 = dev.try_issue(read(1), 1)  # different bank
-        assert r0.accepted and r1.accepted
+        assert r0 is not None and r1 is not None
 
     def test_bus_serialises_transfers(self):
         dev = DRAMDevice(DRAMConfig())
         r0 = dev.try_issue(read(0), 0)
         r1 = dev.try_issue(read(1), 0)
         burst = DRAMTimingConfig().burst_cycles
-        assert r1.completion >= r0.completion + burst
+        assert r1 >= r0 + burst
 
     def test_row_hit_stat(self):
         cfg = DRAMConfig(ranks=1, banks_per_rank=1, row_lines=8)
         dev = DRAMDevice(cfg)
         first = dev.try_issue(read(0), 0)
-        dev.try_issue(read(0), first.completion + 1)
+        dev.try_issue(read(0), first + 1)
         assert dev.stats["row_hits"] == 1
         assert dev.stats["activations"] == 1
 
@@ -156,7 +154,7 @@ class TestDevice:
         dev = DRAMDevice(DRAMConfig())
         accepted = 0
         for line in range(64):
-            if dev.try_issue(read(line), 0).accepted:
+            if dev.try_issue(read(line), 0) is not None:
                 accepted += 1
         # the data bus may only be reserved MAX_BUS_LEAD cycles ahead
         assert accepted < 64

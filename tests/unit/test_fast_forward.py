@@ -61,6 +61,17 @@ class TestLinearHorizon:
         horizon = core.linear_horizon()
         assert horizon is not None and horizon > 0
 
+    def test_pure_gap_horizon_counts_whole_ticks_of_gap(self):
+        # a thread burning only instruction gap may skip every whole MC
+        # tick of the gap it has left
+        core, mc = build_core([(10_000, 100, False)])
+        mc.tick(0)
+        core.tick(0)
+        (ctx,) = core.contexts
+        assert ctx.stall_cpu == 0
+        assert ctx.gap_cpu > core.budget_per_thread
+        assert core.linear_horizon() == ctx.gap_cpu // core.budget_per_thread
+
     def test_all_blocked_is_unbounded(self):
         # mlp=1: the second access blocks behind the first miss, so the
         # only wake-up is a read completion — an event, not a horizon

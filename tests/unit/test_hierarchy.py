@@ -19,23 +19,21 @@ def tiny_hierarchy():
 class TestDemandPath:
     def test_cold_load_misses_to_memory(self):
         h = tiny_hierarchy()
-        result = h.access(100)
-        assert result.level is Level.MEMORY
-        assert result.writebacks == []
+        writebacks = []
+        assert h.access(100, False, writebacks) == (Level.MEMORY, 0)
+        assert writebacks == []
 
     def test_fill_then_l1_hit(self):
         h = tiny_hierarchy()
         h.access(100)
         h.fill_from_memory(100)
-        result = h.access(100)
-        assert result.level is Level.L1
-        assert result.latency_cpu == 1
+        assert h.access(100) == (Level.L1, 1)
 
     def test_l2_hit_promotes_to_l1(self):
         h = tiny_hierarchy()
         h.fill_from_memory(100, to_l1=False)
-        assert h.access(100).level is Level.L2
-        assert h.access(100).level is Level.L1
+        assert h.access(100)[0] is Level.L2
+        assert h.access(100)[0] is Level.L1
 
     def test_l3_hit_promotes(self):
         h = tiny_hierarchy()
@@ -45,20 +43,21 @@ class TestDemandPath:
             h.fill_from_memory(line)
         level = h.present_level(100)
         if level is Level.L3:
-            assert h.access(100).level is Level.L3
+            assert h.access(100)[0] is Level.L3
             assert h.present_level(100) in (Level.L1, Level.L2)
 
     def test_latency_comes_from_config(self):
         h = tiny_hierarchy()
         h.fill_from_memory(100, to_l1=False)
-        assert h.access(100).latency_cpu == 10
+        _, latency_cpu = h.access(100)
+        assert latency_cpu == 10
 
 
 class TestStores:
     def test_store_miss_write_validates(self):
         h = tiny_hierarchy()
-        result = h.access(100, write=True)
-        assert result.level is Level.MEMORY
+        level, _ = h.access(100, write=True)
+        assert level is Level.MEMORY
         assert h.present_level(100) is Level.L1
         assert h.stats["write_validates"] == 1
 
@@ -91,16 +90,16 @@ class TestVictimL3:
         # create many dirty lines in one l3 set
         for i in range(12):
             line = i * 2  # all even lines share l2/l3 sets heavily
-            result = h.access(line, write=True)
-            collected += result.writebacks
+            h.access(line, True, collected)
         assert collected, "expected dirty L3 victims to reach memory"
 
     def test_writebacks_are_line_addresses(self):
         h = tiny_hierarchy()
         seen = set()
         for i in range(20):
-            result = h.access(i * 2, write=True)
-            seen.update(result.writebacks)
+            writebacks = []
+            h.access(i * 2, True, writebacks)
+            seen.update(writebacks)
         assert all(isinstance(line, int) for line in seen)
 
 

@@ -32,15 +32,15 @@ class TestFillDestinations:
         # the PS prefetcher's L2-edge line becomes an L1 line on use
         h = hierarchy()
         h.fill_from_memory(100, to_l1=False)
-        result = h.access(100)
-        assert result.level is Level.L2
+        level, _ = h.access(100)
+        assert level is Level.L2
         assert h.l1.contains(100)
 
     def test_second_access_is_l1_hit(self):
         h = hierarchy()
         h.fill_from_memory(100, to_l1=False)
         h.access(100)
-        assert h.access(100).level is Level.L1
+        assert h.access(100)[0] is Level.L1
 
 
 class TestDirtyPropagation:
@@ -59,8 +59,7 @@ class TestDirtyPropagation:
         h = hierarchy()
         writebacks = []
         for i in range(64):  # stream far past total capacity
-            result = h.access(1000 + i)
-            writebacks += result.writebacks
+            h.access(1000 + i, False, writebacks)
             h.fill_from_memory(1000 + i)
         assert writebacks == []
 
@@ -68,8 +67,7 @@ class TestDirtyPropagation:
         h = hierarchy()
         writebacks = []
         for i in range(64):
-            result = h.access(1000 + i, write=True)
-            writebacks += result.writebacks
+            h.access(1000 + i, True, writebacks)
         assert writebacks
 
 

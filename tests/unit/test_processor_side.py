@@ -20,13 +20,13 @@ class TestConfirmation:
         ps = make_ps()
         ps.observe(100, l1_hit=False)
         reqs = ps.observe(101, l1_hit=False)
-        assert [r.line for r in reqs] == [102]
+        assert [line for line, _ in reqs] == [102]
 
     def test_descending_confirmation(self):
         ps = make_ps()
         ps.observe(100, l1_hit=False)
         reqs = ps.observe(99, l1_hit=False)
-        assert [r.line for r in reqs] == [98]
+        assert [line for line, _ in reqs] == [98]
 
     def test_disabled_never_prefetches(self):
         ps = make_ps(enabled=False)
@@ -47,8 +47,8 @@ class TestRampAndLeads:
         ps.observe(100, l1_hit=False)
         first = ps.observe(101, l1_hit=False)  # depth 1 -> line 102
         second = ps.observe(102, l1_hit=False)  # depth 2 -> 103, 104
-        assert [r.line for r in first] == [102]
-        assert [r.line for r in second] == [103, 104]
+        assert [line for line, _ in first] == [102]
+        assert [line for line, _ in second] == [103, 104]
 
     def test_depth_caps_at_l2_lead(self):
         ps = make_ps(ramp=1, l2_lead=2)
@@ -56,13 +56,13 @@ class TestRampAndLeads:
         ps.observe(101, l1_hit=False)
         ps.observe(102, l1_hit=False)
         steady = ps.observe(103, l1_hit=False)
-        assert [r.line for r in steady] == [105]  # one new edge line
+        assert [line for line, _ in steady] == [105]  # one new edge line
 
     def test_l1_destination_within_lead(self):
         ps = make_ps(ramp=2, l1_lead=1, l2_lead=4)
         ps.observe(100, l1_hit=False)
         reqs = ps.observe(101, l1_hit=False)
-        dests = {r.line: r.to_l1 for r in reqs}
+        dests = dict(reqs)
         assert dests[102] is True  # within l1_lead
         assert dests[103] is False  # beyond l1_lead
 
@@ -74,7 +74,7 @@ class TestAdvanceOnHit:
         ps.observe(101, l1_hit=False)  # confirm, prefetch 102
         ps.notify_fill(102, to_l1=True)
         reqs = ps.observe(102, l1_hit=True)
-        assert [r.line for r in reqs] == [103, 104]
+        assert [line for line, _ in reqs] == [103, 104]
 
     def test_ordinary_l1_hit_ignored(self):
         ps = make_ps()

@@ -56,8 +56,8 @@ class TestMemoryless:
     def test_prefers_row_hit_among_ready(self):
         cfg = DRAMConfig(ranks=1, banks_per_rank=2, row_lines=4)
         dev = DRAMDevice(cfg)
-        r = dev.try_issue(read(0), 0)
-        now = r.completion + 1
+        completion = dev.try_issue(read(0), 0)
+        now = completion + 1
         row_hit = read(2, arrival=5)  # bank 0, same row
         row_empty = read(1, arrival=1)  # bank 1, must activate
         picked = MemorylessScheduler().select([row_empty, row_hit], dev, now)
@@ -76,9 +76,9 @@ class TestAHB:
         dev = device()
         sched = AHBScheduler()
         first = sched.select([read(0, 0), read(1, 0)], dev, 0)
-        result = dev.try_issue(first, 0)
+        completion = dev.try_issue(first, 0)
         sched.notify_issue(first, dev)
-        now = result.completion + 1
+        now = completion + 1
         # row hit outweighs bank history; make both row-empty instead
         cands = [
             read(first.line + 400, arrival=0),  # same bank, new row

@@ -16,10 +16,8 @@ def make_filter(slots=8, init=10, inc=10, cap=80, collect=None):
 class TestAllocation:
     def test_first_read_allocates_length_one(self):
         sf = make_filter()
-        obs = sf.observe(100, 0)
-        assert obs.position == 1
-        assert obs.tracked
-        assert obs.direction is Direction.ASCENDING
+        # (position, step): a fresh, tracked, ascending stream
+        assert sf.observe(100, 0) == (1, 1)
         assert sf.occupancy == 1
 
     def test_each_new_region_gets_a_slot(self):
@@ -33,48 +31,40 @@ class TestAdvance:
     def test_sequential_reads_extend_stream(self):
         sf = make_filter()
         sf.observe(100, 0)
-        obs = sf.observe(101, 1)
-        assert obs.position == 2
-        assert obs.direction is Direction.ASCENDING
+        assert sf.observe(101, 1) == (2, 1)
         assert sf.occupancy == 1
 
     def test_long_stream_positions(self):
         sf = make_filter()
         for k, line in enumerate(range(100, 110)):
-            obs = sf.observe(line, k)
-            assert obs.position == k + 1
+            position, _ = sf.observe(line, k)
+            assert position == k + 1
 
     def test_descending_flip_on_length_one(self):
         # paper: direction becomes Negative when a length-1 stream sees
         # the preceding address
         sf = make_filter()
         sf.observe(100, 0)
-        obs = sf.observe(99, 1)
-        assert obs.direction is Direction.DESCENDING
-        assert obs.position == 2
+        assert sf.observe(99, 1) == (2, -1)
 
     def test_descending_stream_continues_downward(self):
         sf = make_filter()
         sf.observe(100, 0)
         sf.observe(99, 1)
-        obs = sf.observe(98, 2)
-        assert obs.position == 3
-        assert obs.direction is Direction.DESCENDING
+        assert sf.observe(98, 2) == (3, -1)
 
     def test_no_descending_flip_after_length_two(self):
         sf = make_filter()
         sf.observe(100, 0)
         sf.observe(101, 1)
         # 100 again does not extend the (now length-2 ascending) stream
-        obs = sf.observe(100, 2)
-        assert obs.position == 1
+        assert sf.observe(100, 2) == (1, 1)
         assert sf.occupancy == 2
 
     def test_nonadjacent_read_starts_new_stream(self):
         sf = make_filter()
         sf.observe(100, 0)
-        obs = sf.observe(105, 1)
-        assert obs.position == 1
+        assert sf.observe(105, 1) == (1, 1)
         assert sf.occupancy == 2
 
 
@@ -83,8 +73,7 @@ class TestFullFilter:
         sf = make_filter(slots=2)
         sf.observe(100, 0)
         sf.observe(200, 0)
-        obs = sf.observe(300, 0)
-        assert not obs.tracked
+        assert sf.observe(300, 0) is None  # not followed
         assert sf.occupancy == 2
 
     def test_untracked_records_length_one(self):
@@ -98,9 +87,7 @@ class TestFullFilter:
     def test_advance_still_possible_when_full(self):
         sf = make_filter(slots=1)
         sf.observe(100, 0)
-        obs = sf.observe(101, 1)
-        assert obs.tracked
-        assert obs.position == 2
+        assert sf.observe(101, 1) == (2, 1)
 
 
 class TestLifetimes:
